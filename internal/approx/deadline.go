@@ -268,8 +268,9 @@ func (c *DeadlineSLO) outOfBudget(v *mapreduce.JobView) mapreduce.Directive {
 // completed plus n2 further clusters at per-task sample size m).
 func worstRelError(comps []PlanComponent, v *mapreduce.JobView, n1, n2 int, mbar, m float64) float64 {
 	worst := 0.0
+	t := planT(v.Confidence, n1, n2)
 	for _, pc := range comps {
-		errHalf := PredictError(pc, v.TotalMaps, n1, n2, mbar, m, v.Confidence)
+		errHalf := predictHalfWidth(pc, v.TotalMaps, n1, n2, mbar, m, t)
 		if math.IsInf(errHalf, 1) || math.IsNaN(errHalf) {
 			return math.Inf(1)
 		}

@@ -140,7 +140,10 @@ func (r *MultiStageReducer) su2(agg *keyAgg) float64 {
 	return v
 }
 
-func (r *MultiStageReducer) estimate(agg *keyAgg, view mapreduce.EstimateView) stats.Estimate {
+// estimate evaluates one key's estimator. t is the interval's t
+// multiplier for n-1 degrees of freedom (see tMultiplier), fetched
+// once per call by Finalize rather than once per key.
+func (r *MultiStageReducer) estimate(agg *keyAgg, view mapreduce.EstimateView, t float64) stats.Estimate {
 	N := float64(view.TotalMaps)
 	n := float64(r.n)
 	est := stats.Estimate{Conf: view.Confidence, DF: n - 1}
@@ -179,7 +182,7 @@ func (r *MultiStageReducer) estimate(agg *keyAgg, view mapreduce.EstimateView) s
 		}
 		tx := N / n * r.sumM
 		est.StdErr = math.Sqrt(varTot) / tx
-		est.Err = stats.TwoSidedT(view.Confidence, n-1) * est.StdErr
+		est.Err = t * est.StdErr
 		return est
 	default: // OpSum, OpCount
 		est.Value = N / n * agg.sumTau
@@ -197,7 +200,7 @@ func (r *MultiStageReducer) estimate(agg *keyAgg, view mapreduce.EstimateView) s
 		}
 		variance := between + N/n*agg.within
 		est.StdErr = math.Sqrt(variance)
-		est.Err = stats.TwoSidedT(view.Confidence, n-1) * est.StdErr
+		est.Err = t * est.StdErr
 		return est
 	}
 }
@@ -210,13 +213,24 @@ func (r *MultiStageReducer) Estimates(view mapreduce.EstimateView) []mapreduce.K
 // Finalize implements mapreduce.ReduceLogic.
 func (r *MultiStageReducer) Finalize(view mapreduce.EstimateView) []mapreduce.KeyEstimate {
 	exact := r.exact(view)
+	t := r.tMultiplier(view)
 	out := make([]mapreduce.KeyEstimate, 0, len(r.keys))
 	for key, agg := range r.keys {
-		est := r.estimate(agg, view)
+		est := r.estimate(agg, view, t)
 		out = append(out, mapreduce.KeyEstimate{Key: key, Est: est, Exact: exact})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
+}
+
+// tMultiplier returns the t critical value every key's interval
+// shares (n-1 degrees of freedom); with fewer than two clusters no
+// interval is formed and the value is unused.
+func (r *MultiStageReducer) tMultiplier(view mapreduce.EstimateView) float64 {
+	if r.n < 2 {
+		return math.NaN()
+	}
+	return stats.TwoSidedT(view.Confidence, float64(r.n)-1)
 }
 
 // PlanComponent exposes, per key, the variance pieces the target-error
@@ -257,6 +271,23 @@ func (r *MultiStageReducer) PlanComponents(view mapreduce.EstimateView) []PlanCo
 // n1 consumed clusters, n2 more clusters of Mbar units are executed
 // with m of their units sampled each.
 func PredictError(pc PlanComponent, totalMaps, n1, n2 int, mbar, m float64, confidence float64) float64 {
+	return predictHalfWidth(pc, totalMaps, n1, n2, mbar, m, planT(confidence, n1, n2))
+}
+
+// planT is the t multiplier of a plan with n1+n2 clusters. It is the
+// same for every key, so planners fetch it once per (n2, m) probe and
+// pass it to predictHalfWidth for each key.
+func planT(confidence float64, n1, n2 int) float64 {
+	n := n1 + n2
+	if n < 2 {
+		return math.Inf(1)
+	}
+	return stats.TwoSidedT(confidence, float64(n)-1)
+}
+
+// predictHalfWidth is PredictError with the plan's t multiplier (from
+// planT) supplied by the caller.
+func predictHalfWidth(pc PlanComponent, totalMaps, n1, n2 int, mbar, m, t float64) float64 {
 	n := n1 + n2
 	if n < 2 {
 		return math.Inf(1)
@@ -278,5 +309,5 @@ func PredictError(pc PlanComponent, totalMaps, n1, n2 int, mbar, m float64, conf
 	if variance < 0 {
 		variance = 0
 	}
-	return stats.TwoSidedT(confidence, fn-1) * math.Sqrt(variance)
+	return t * math.Sqrt(variance)
 }

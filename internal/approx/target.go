@@ -234,9 +234,10 @@ func (c *TargetError) solve(v *mapreduce.JobView) {
 	}
 
 	feasible := func(n2 int, m float64) bool {
+		t := planT(v.Confidence, n1, n2)
 		if c.Strict {
 			for _, pc := range comps {
-				errHalf := PredictError(pc, v.TotalMaps, n1, n2, mbar, m, v.Confidence)
+				errHalf := predictHalfWidth(pc, v.TotalMaps, n1, n2, mbar, m, t)
 				if !c.meets(errHalf, pc.Tau) {
 					return false
 				}
@@ -248,7 +249,7 @@ func (c *TargetError) solve(v *mapreduce.JobView) {
 		worstErr := 0.0
 		worstTau := 0.0
 		for _, pc := range comps {
-			errHalf := PredictError(pc, v.TotalMaps, n1, n2, mbar, m, v.Confidence)
+			errHalf := predictHalfWidth(pc, v.TotalMaps, n1, n2, mbar, m, t)
 			if math.IsInf(errHalf, 1) || math.IsNaN(errHalf) {
 				return false
 			}

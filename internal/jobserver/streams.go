@@ -183,6 +183,11 @@ type StreamSet struct {
 	running int
 	closed  bool
 	wg      sync.WaitGroup
+
+	// runDone, when set, is called on a stream's pipeline goroutine
+	// after the pipeline returns and before the terminal status flip
+	// (tests use it to hold a watcher between the two).
+	runDone func()
 }
 
 // NewStreamSet builds a registry. maxActive caps concurrently running
@@ -239,6 +244,14 @@ func (s *StreamSet) run(e *streamEntry, p *stream.Pipeline) {
 		// goroutine is the stream's only frame producer); every watcher
 		// shares the buffer.
 		f := newWindowFrameEnc(wireWindow(seq, StreamRunning, r))
+		// The window that spends the MaxWindows budget is the last one
+		// the pipeline emits: publish it already final, together with
+		// the status flip, so a live watcher never sees it as running
+		// and then finds the stream terminal with nothing new to send.
+		last := p.MaxWindows > 0 && seq+1 == p.MaxWindows
+		if last {
+			f = restampWindowFrame(f, StreamDone)
+		}
 		s.mu.Lock()
 		if e.canceled || s.closed {
 			s.mu.Unlock()
@@ -246,27 +259,37 @@ func (s *StreamSet) run(e *streamEntry, p *stream.Pipeline) {
 		}
 		e.state.Windows = append(e.state.Windows, r)
 		e.frames = append(e.frames, f)
+		if last {
+			e.state.Status = StreamDone
+		}
 		seq++
 		s.mu.Unlock()
 		s.cond.Broadcast()
 		return nil
 	})
-	s.mu.Lock()
-	switch {
-	case errors.Is(err, errStreamCanceled):
-		e.state.Status = StreamStopped
-		e.state.Err = errStreamCanceled.Error()
-	case err != nil:
-		e.state.Status = StreamFailed
-		e.state.Err = err.Error()
-	default:
-		e.state.Status = StreamDone
+	if s.runDone != nil {
+		s.runDone()
 	}
-	if n := len(e.frames); n > 0 {
-		// The last published frame carries the terminal status (and
-		// final=true for a normal drain), in the same critical section
-		// as the status flip, so watchers observe both or neither.
-		e.frames[n-1] = restampWindowFrame(e.frames[n-1], e.state.Status)
+	s.mu.Lock()
+	if !e.state.Status.Terminal() {
+		switch {
+		case errors.Is(err, errStreamCanceled):
+			e.state.Status = StreamStopped
+			e.state.Err = errStreamCanceled.Error()
+		case err != nil:
+			e.state.Status = StreamFailed
+			e.state.Err = err.Error()
+		default:
+			e.state.Status = StreamDone
+		}
+		if n := len(e.frames); n > 0 {
+			// A stream that ended short of its budget (drained, stopped
+			// or failed) restamps its last published frame with the
+			// terminal status (final=true for a drain) in the same
+			// critical section as the status flip, so watchers that
+			// have not read it yet observe both or neither.
+			e.frames[n-1] = restampWindowFrame(e.frames[n-1], e.state.Status)
+		}
 	}
 	s.running--
 	s.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"strconv"
+	"sync"
 	"testing"
 
 	"approxhadoop/internal/stream"
@@ -176,6 +177,64 @@ func TestStreamHTTPWatch(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 400 {
 		t.Errorf("unknown app returned %d; want 400", resp.StatusCode)
+	}
+}
+
+// TestStreamWatchEndsOnBudgetFrame forces the interleaving behind a
+// once-flaky TestStreamHTTPWatch: a live watcher has read the last
+// window while the pipeline goroutine is held between returning and
+// its terminal bookkeeping. The last window of a MaxWindows budget
+// must already be final when the watcher reads it, so the watch ends
+// on it rather than on a synthesized extra frame.
+func TestStreamWatchEndsOnBudgetFrame(t *testing.T) {
+	d := NewDaemon(New(Config{Workers: 1}), false)
+	defer d.Stop()
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock()
+	d.streams.runDone = func() { <-release }
+
+	spec := tinyStreamSpec(5)
+	id, err := d.streams.Open(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := srv.Client().Get(srv.URL + "/v1/streams/" + id + "/watch")
+	if err != nil {
+		t.Fatalf("watch: %v", err)
+	}
+	defer resp.Body.Close()
+	var frames []WireWindow
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var f WireWindow
+		if err := json.Unmarshal(sc.Bytes(), &f); err != nil {
+			t.Fatalf("bad frame %q: %v", sc.Text(), err)
+		}
+		frames = append(frames, f)
+		if f.Seq == spec.MaxWindows-1 {
+			// The pipeline goroutine is (or soon will be) parked in
+			// runDone; the stream must already read as done.
+			if st, _ := d.streams.Info(id); st.Status != StreamDone {
+				t.Errorf("status %s after the budget's last window; want done", st.Status)
+			}
+			unblock()
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("watch read: %v", err)
+	}
+	if len(frames) != spec.MaxWindows {
+		t.Fatalf("watched %d frames; want %d", len(frames), spec.MaxWindows)
+	}
+	last := frames[len(frames)-1]
+	if last.Seq != spec.MaxWindows-1 || !last.Final || last.Status != StreamDone {
+		t.Errorf("last frame seq %d final %v status %s; want seq %d, final, done",
+			last.Seq, last.Final, last.Status, spec.MaxWindows-1)
 	}
 }
 

@@ -51,7 +51,8 @@ func (c *chaosController) Completed(v *JobView) Directive {
 
 // TestChaosControllerInvariants runs many jobs under a randomized
 // controller and verifies the scheduler's accounting invariants hold
-// in every case.
+// in every case, with the incremental task counts checked against a
+// rescan after every engine event.
 func TestChaosControllerInvariants(t *testing.T) {
 	input, _ := wordCountInput(t, 64)
 	for trial := 0; trial < 30; trial++ {
@@ -75,7 +76,7 @@ func TestChaosControllerInvariants(t *testing.T) {
 			SleepIdle:   trial%3 == 0,
 			Trace:       func(e Event) { events = append(events, e) },
 		}
-		res, err := Run(eng, job)
+		res, err := runChecked(t, eng, job)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -154,7 +155,8 @@ func chaosSeedBase(t *testing.T) int64 {
 
 // TestChaosUnderFaultPlan runs jobs under randomized fault plans
 // (task faults, fail-stops, slowdowns, rack failures, recoveries) and
-// verifies the scheduler's invariants. With DegradeToDrop off and
+// verifies the scheduler's invariants, including the incremental task
+// counts after every engine event. With DegradeToDrop off and
 // unlimited retries, every completing job must produce exact results:
 // faults may cost time, never correctness.
 func TestChaosUnderFaultPlan(t *testing.T) {
@@ -192,7 +194,7 @@ func TestChaosUnderFaultPlan(t *testing.T) {
 			},
 			Trace: func(e Event) { events = append(events, e) },
 		}
-		res, err := Run(eng, job)
+		res, err := runChecked(t, eng, job)
 		if err != nil {
 			t.Fatalf("trial %d (seed %d): %v", trial, seed, err)
 		}
@@ -273,7 +275,7 @@ func TestChaosFaultPlanDeterministic(t *testing.T) {
 			Retry:         RetryPolicy{MaxAttemptsPerTask: 2, Backoff: 0.5, BlacklistAfter: 3},
 			Trace:         func(e Event) { events = append(events, e) },
 		}
-		if _, err := Run(eng, job); err != nil {
+		if _, err := runChecked(t, eng, job); err != nil {
 			t.Fatal(err)
 		}
 		return events
@@ -319,7 +321,7 @@ func TestDeterministicTrace(t *testing.T) {
 			Seed:      99,
 			Trace:     func(e Event) { events = append(events, e) },
 		}
-		if _, err := Run(testEngine(), job); err != nil {
+		if _, err := runChecked(t, testEngine(), job); err != nil {
 			t.Fatal(err)
 		}
 		return events

@@ -19,6 +19,7 @@ const (
 	taskRunning
 	taskDone
 	taskDropped
+	numTaskStates
 )
 
 // reduceTask is the runtime state of one reduce partition.
@@ -44,7 +45,11 @@ type tracker struct {
 	nextOrd int
 	retry   []int // failed tasks awaiting re-execution
 
+	// state is written only through setState, which keeps nState in
+	// step: scheduling decisions read per-state counts (pending,
+	// running, completed, dropped) in O(1).
 	state     []taskState
+	nState    [numTaskStates]int
 	ratios    []float64                      // sampling ratio used per task
 	attempts  map[int][]*cluster.RunningTask // running attempts per task
 	durations []float64                      // virtual durations of completed attempts
@@ -61,10 +66,9 @@ type tracker struct {
 	reducesLeft int
 
 	measures  []cluster.TaskMeasure
+	itemsSum  int64 // sum of measures[i].Items, for JobView.AvgItems
 	counters  Counters
 	launched  int
-	completed int
-	dropped   int
 	maxLaunch int     // 0 = unlimited
 	curRatio  float64 // ratio when controller declines to specify
 
@@ -214,6 +218,7 @@ func Start(eng *cluster.Engine, job *Job, opts StartOptions) (*Handle, error) {
 	t.pool = newComputePool(workers)
 	n := len(t.blocks)
 	t.state = make([]taskState, n)
+	t.nState[taskPending] = n
 	t.ratios = make([]float64, n)
 	t.attemptsMade = make([]int, n)
 	t.counters.MapsTotal = n
@@ -476,8 +481,7 @@ func (t *tracker) degrade(idx int, server string) {
 	if t.state[idx] != taskPending {
 		return
 	}
-	t.state[idx] = taskDropped
-	t.dropped++
+	t.setState(idx, taskDropped)
 	t.counters.MapsDegraded++
 	t.emit(EventMapDegraded, idx, server, 0)
 }
@@ -563,7 +567,7 @@ func (t *tracker) noteServerFault(s *cluster.Server) {
 func (t *tracker) rescheduleOrDegrade(idx int) {
 	if max := t.job.Retry.MaxAttemptsPerTask; max > 0 && t.attemptsMade[idx] >= max {
 		if t.job.DegradeToDrop {
-			t.state[idx] = taskPending
+			t.setState(idx, taskPending)
 			t.degrade(idx, "")
 			return
 		}
@@ -571,7 +575,7 @@ func (t *tracker) rescheduleOrDegrade(idx int) {
 			idx, t.attemptsMade[idx]))
 		return
 	}
-	t.state[idx] = taskPending
+	t.setState(idx, taskPending)
 	t.counters.MapsRetried++
 	t.emit(EventMapRetried, idx, "", 0)
 	b := t.job.Retry.Backoff
@@ -634,7 +638,7 @@ func (t *tracker) launch(idx int, srv *cluster.Server, ratio float64) {
 		ratio = 1
 	}
 	t.ratios[idx] = ratio
-	t.state[idx] = taskRunning
+	t.setState(idx, taskRunning)
 	t.launched++
 	t.attemptsMade[idx]++
 	t.emit(EventMapLaunched, idx, srv.ID, ratio)
@@ -751,7 +755,7 @@ func (t *tracker) onMapDone(idx int, handle *cluster.RunningTask, res *mapResult
 			// Cut off by the job deadline: fold into the dropped-
 			// cluster count rather than the controller-kill count.
 			if len(live) == 0 {
-				t.state[idx] = taskPending
+				t.setState(idx, taskPending)
 				t.degrade(idx, handle.Server.ID)
 			}
 			t.scheduleFill()
@@ -761,8 +765,7 @@ func (t *tracker) onMapDone(idx int, handle *cluster.RunningTask, res *mapResult
 		t.emit(EventMapKilled, idx, handle.Server.ID, 0)
 		if t.state[idx] == taskRunning && len(live) == 0 {
 			// Killed with no surviving attempt: the task is dropped.
-			t.state[idx] = taskDropped
-			t.dropped++
+			t.setState(idx, taskDropped)
 		}
 		t.scheduleFill()
 		return
@@ -772,14 +775,14 @@ func (t *tracker) onMapDone(idx int, handle *cluster.RunningTask, res *mapResult
 		t.scheduleFill()
 		return
 	}
-	t.state[idx] = taskDone
+	t.setState(idx, taskDone)
 	// Forget remaining attempts before killing them: the nested kill
 	// callbacks must not re-filter the slice we are iterating.
 	t.attempts[idx] = nil
-	t.completed++
 	t.emit(EventMapCompleted, idx, handle.Server.ID, t.ratios[idx])
 	t.durations = append(t.durations, handle.Finish-handle.Start)
 	t.measures = append(t.measures, res.measure)
+	t.itemsSum += res.measure.Items
 	t.counters.MapsCompleted++
 	t.counters.ItemsTotal += res.measure.Items
 	t.counters.ItemsProcessed += res.measure.Processed
@@ -862,13 +865,15 @@ func (t *tracker) dropTask(idx int) {
 	if t.state[idx] != taskPending {
 		return
 	}
-	t.state[idx] = taskDropped
-	t.dropped++
+	t.setState(idx, taskDropped)
 	t.counters.MapsDropped++
 	t.emit(EventMapDropped, idx, "", 0)
 }
 
 func (t *tracker) dropAllPending() {
+	if t.pendingCount() == 0 {
+		return
+	}
 	for idx, st := range t.state {
 		if st == taskPending {
 			t.dropTask(idx)
@@ -918,25 +923,17 @@ func (t *tracker) maybeSleepIdle() {
 	}
 }
 
-func (t *tracker) pendingCount() int {
-	n := 0
-	for _, st := range t.state {
-		if st == taskPending {
-			n++
-		}
-	}
-	return n
+// setState is the single transition point for task states: every
+// write goes through it so the per-state counts stay exact.
+func (t *tracker) setState(idx int, st taskState) {
+	t.nState[t.state[idx]]--
+	t.nState[st]++
+	t.state[idx] = st
 }
 
-func (t *tracker) runningCount() int {
-	n := 0
-	for _, st := range t.state {
-		if st == taskRunning {
-			n++
-		}
-	}
-	return n
-}
+func (t *tracker) pendingCount() int { return t.nState[taskPending] }
+
+func (t *tracker) runningCount() int { return t.nState[taskRunning] }
 
 // checkCompletion finalizes the reduces once every map task is done or
 // dropped and no attempts remain in flight.
@@ -1032,8 +1029,8 @@ func (t *tracker) fail(err error) {
 func (t *tracker) estView() EstimateView {
 	return EstimateView{
 		TotalMaps:  len(t.blocks),
-		Consumed:   t.completed,
-		Dropped:    t.dropped,
+		Consumed:   t.nState[taskDone],
+		Dropped:    t.nState[taskDropped],
 		Confidence: t.job.Confidence,
 	}
 }
@@ -1065,11 +1062,7 @@ func (t *tracker) snapshot() []KeyEstimate {
 func (t *tracker) view() *JobView {
 	avgItems := 0.0
 	if len(t.measures) > 0 {
-		var s int64
-		for _, m := range t.measures {
-			s += m.Items
-		}
-		avgItems = float64(s) / float64(len(t.measures))
+		avgItems = float64(t.itemsSum) / float64(len(t.measures))
 	}
 	slots := t.eng.TotalSlots(cluster.MapSlot)
 	if q := t.arb.MapQuota(t.job); q > 0 && q < slots {
@@ -1083,8 +1076,8 @@ func (t *tracker) view() *JobView {
 		TotalMapSlots: slots,
 		Elapsed:       t.eng.Now() - t.startTime,
 		Launched:      t.launched,
-		Completed:     t.completed,
-		Dropped:       t.dropped,
+		Completed:     t.nState[taskDone],
+		Dropped:       t.nState[taskDropped],
 		Running:       t.runningCount(),
 		Pending:       t.pendingCount(),
 		Confidence:    t.job.Confidence,

@@ -208,10 +208,12 @@ func TQuantile(p, df float64) float64 {
 	return 0.5 * (lo + hi)
 }
 
-// tCritCache memoizes two-sided t critical values: estimators and the
-// target-error controller evaluate the same (confidence, df) pairs
-// millions of times during feasibility searches, and the underlying
-// quantile inversion costs ~10us.
+// tCritCache memoizes two-sided t critical values: the quantile
+// inversion costs ~10us, and estimators and the target-error and
+// deadline planners ask for the same (confidence, df) pairs at every
+// wave boundary. Callers fetch one value per planning probe or per
+// Finalize call, not one per key, so a lookup here is not on a
+// per-key path.
 var tCritCache sync.Map // [2]float64{confidence, df} -> float64
 
 // TwoSidedT returns the critical value t_{df, 1-alpha/2} used for a
