@@ -20,25 +20,23 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"sync"
+	"time"
 
 	"approxhadoop/internal/jobserver"
+	"approxhadoop/internal/loadgen"
 	"approxhadoop/internal/wire"
 )
 
 // ServiceVariant is one daemon configuration's closed-loop measurement.
 type ServiceVariant struct {
-	Name   string               `json:"name"`
-	Shards int                  `json:"shards"`
-	Binary bool                 `json:"binary"`
-	Load   jobserver.LoadReport `json:"load"`
+	Name   string         `json:"name"`
+	Shards int            `json:"shards"`
+	Binary bool           `json:"binary"`
+	Load   loadgen.Report `json:"load"`
 }
 
 // FanoutStat is one subscriber-count data point of the multicast test.
@@ -63,11 +61,14 @@ type ServiceReport struct {
 }
 
 // bootServiceDaemon starts an in-process daemon on a loopback listener
-// and returns its base URL and a shutdown func. It deliberately reuses
-// Daemon.Handler — the production route table — rather than Serve,
-// which blocks on signals.
+// and returns its base URL and a shutdown func. It builds the daemon
+// with the same constructor Serve uses and serves Daemon.Handler — the
+// production route table — without Serve's signal handling.
 func bootServiceDaemon(cfg jobserver.Config, shards int) (string, func(), error) {
-	d := jobserver.NewShardedDaemon(cfg, shards, false)
+	d, err := jobserver.NewDaemon(jobserver.DaemonConfig{Service: cfg, Shards: shards})
+	if err != nil {
+		return "", nil, err
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		d.Stop()
@@ -94,7 +95,7 @@ func serviceLoadVariant(name string, shards int, binary bool, seed int64, client
 		return ServiceVariant{}, err
 	}
 	defer stop()
-	rep := jobserver.RunClosedLoop(jobserver.LoadConfig{
+	rep := loadgen.RunClosedLoop(loadgen.Config{
 		Base:    base,
 		Clients: clients,
 		Ops:     ops,
@@ -106,41 +107,6 @@ func serviceLoadVariant(name string, shards int, binary bool, seed int64, client
 		return ServiceVariant{}, fmt.Errorf("service: %s completed %d/%d ops with %d errors", name, rep.Ops, ops, rep.Errors)
 	}
 	return ServiceVariant{Name: name, Shards: shards, Binary: binary, Load: rep}, nil
-}
-
-// drainStream subscribes to one job's binary stream and reads it to
-// the end, returning frames seen and bytes received.
-func drainStream(base, id string) (int, int64, error) {
-	req, err := http.NewRequest(http.MethodGet, base+"/v1/jobs/"+id+"/stream", nil)
-	if err != nil {
-		return 0, 0, err
-	}
-	req.Header.Set("Accept", wire.ContentType)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer func() {
-		//lint:ignore errcheck the body has been read to EOF already
-		_ = resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return 0, 0, fmt.Errorf("service: stream %s: HTTP %d", id, resp.StatusCode)
-	}
-	var n int64
-	frames := 0
-	br := bufio.NewReader(resp.Body)
-	for {
-		payload, err := wire.ReadFrame(br)
-		if err == io.EOF {
-			return frames, n, nil
-		}
-		if err != nil {
-			return frames, n, err
-		}
-		n += int64(len(payload)) + 4 // + length prefix
-		frames++
-	}
 }
 
 // measureFanout submits one snapshot-heavy job, waits for it to
@@ -159,13 +125,14 @@ func measureFanout(seed int64, subCounts []int) ([]FanoutStat, error) {
 	spec := jobserver.LoadSpec(seed, 0, 1)
 	spec.Name = "fanout-probe"
 	spec.Blocks = 64 // more waves -> more snapshot frames to multicast
-	id, err := submitOnce(base, spec)
+	deadline := time.Now().Add(time.Minute)
+	id, _, err := loadgen.Submit(base, spec, deadline)
 	if err != nil {
 		return nil, err
 	}
 	// Run the job to terminal via one throwaway subscription; every
 	// frame is encoded (exactly once) during this phase.
-	if _, _, err := drainStream(base, id); err != nil {
+	if _, _, err := loadgen.Watch(base, id, true, deadline); err != nil {
 		return nil, err
 	}
 
@@ -183,7 +150,7 @@ func measureFanout(seed int64, subCounts []int) ([]FanoutStat, error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				f, b, err := drainStream(base, id)
+				f, b, err := loadgen.Watch(base, id, true, deadline)
 				mu.Lock()
 				defer mu.Unlock()
 				if err != nil && firstErr == nil {
@@ -204,32 +171,6 @@ func measureFanout(seed int64, subCounts []int) ([]FanoutStat, error) {
 		})
 	}
 	return out, nil
-}
-
-// submitOnce POSTs one spec without retry (the fan-out daemon is idle).
-func submitOnce(base string, spec jobserver.JobSpec) (string, error) {
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return "", err
-	}
-	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return "", err
-	}
-	defer func() {
-		//lint:ignore errcheck the response has been fully decoded
-		_ = resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("service: submit %s: HTTP %d", spec.Name, resp.StatusCode)
-	}
-	var out struct {
-		ID string `json:"id"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return "", err
-	}
-	return out.ID, nil
 }
 
 // runService executes the whole experiment and prints a summary table.

@@ -52,6 +52,7 @@ import (
 	"time"
 
 	"approxhadoop/internal/jobserver"
+	"approxhadoop/internal/loadgen"
 	"approxhadoop/internal/mapreduce"
 	"approxhadoop/internal/stats"
 	"approxhadoop/internal/wire"
@@ -651,7 +652,7 @@ func cmdLoadgen(c *client, args []string) error {
 	//lint:ignore errcheck ExitOnError flag sets never return an error
 	_ = fs.Parse(args)
 
-	rep := jobserver.RunClosedLoop(jobserver.LoadConfig{
+	rep := loadgen.RunClosedLoop(loadgen.Config{
 		Base:    c.base,
 		Clients: *clients,
 		Ops:     *n,

@@ -87,28 +87,30 @@ func main() {
 		mode = "hold"
 	}
 	err = jobserver.Serve(jobserver.ServeConfig{
-		Addr: *addr,
-		Service: jobserver.Config{
-			Policy:        pol,
-			MaxActive:     *maxActive,
-			MaxQueue:      *maxQueue,
-			Workers:       *workers,
-			SnapshotEvery: *snapshot,
-			TenantQuota:   *quota,
+		DaemonConfig: jobserver.DaemonConfig{
+			Service: jobserver.Config{
+				Policy:        pol,
+				MaxActive:     *maxActive,
+				MaxQueue:      *maxQueue,
+				Workers:       *workers,
+				SnapshotEvery: *snapshot,
+				TenantQuota:   *quota,
+			},
+			Shards:         *shards,
+			Hold:           *hold,
+			JournalPath:    *journal,
+			RequestTimeout: *reqTimeout,
+			MaxBody:        *maxBody,
+			MaxLag:         *maxLag,
+			Logf: func(format string, args ...any) {
+				fmt.Fprintf(os.Stderr, "approxd: "+format+"\n", args...)
+			},
 		},
-		Shards:         *shards,
-		MaxLag:         *maxLag,
-		Hold:           *hold,
-		JournalPath:    *journal,
-		Grace:          *grace,
-		RequestTimeout: *reqTimeout,
-		MaxBody:        *maxBody,
+		Addr:  *addr,
+		Grace: *grace,
 		OnReady: func(addr string, _ *jobserver.Daemon) {
 			fmt.Fprintf(os.Stderr, "approxd: serving on %s (policy %s, %s mode, %d shard(s), %d active / %d queued max per shard)\n",
 				addr, pol, mode, max(*shards, 1), *maxActive, *maxQueue)
-		},
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "approxd: "+format+"\n", args...)
 		},
 	})
 	if err != nil {

@@ -50,20 +50,22 @@ func chaosChild() {
 		}
 	}
 	err := Serve(ServeConfig{
-		Addr: "127.0.0.1:0",
-		Service: Config{
-			MaxActive:     maxActive,
-			MaxQueue:      32,
-			SnapshotEvery: 5,
+		DaemonConfig: DaemonConfig{
+			Service: Config{
+				MaxActive:     maxActive,
+				MaxQueue:      32,
+				SnapshotEvery: 5,
+			},
+			Shards:      shards,
+			JournalPath: os.Getenv("APPROXD_CHAOS_JOURNAL"),
+			Logf: func(format string, args ...any) {
+				fmt.Fprintf(os.Stderr, "chaos-child: "+format+"\n", args...)
+			},
 		},
-		Shards:      shards,
-		JournalPath: os.Getenv("APPROXD_CHAOS_JOURNAL"),
-		Grace:       5 * time.Second,
+		Addr:  "127.0.0.1:0",
+		Grace: 5 * time.Second,
 		OnReady: func(addr string, _ *Daemon) {
 			fmt.Printf("ADDR %s\n", addr)
-		},
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "chaos-child: "+format+"\n", args...)
 		},
 	})
 	if err != nil {

@@ -3,6 +3,7 @@ package jobserver
 import (
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"time"
 )
@@ -35,48 +36,111 @@ type Daemon struct {
 	streams *StreamSet
 	once    sync.Once
 
+	// Resolved HTTP limits (see DaemonConfig): requestTimeout <= 0 and
+	// maxLag == 0 mean unlimited.
+	requestTimeout time.Duration
+	maxBody        int64
+	maxLag         int
+
+	// hold is fixed at construction. The hold-mode buffer is
+	// fleet-level: held specs are not yet placed on any shard — Release
+	// routes the whole sorted batch at once.
+	hold bool
+	hmu  sync.Mutex
+	held []JobSpec
+}
+
+// DaemonConfig configures NewDaemon, the one way a daemon is built —
+// by cmd/approxd (through Serve), the tests, and approxbench alike.
+type DaemonConfig struct {
+	// Service configures the underlying Service (each shard gets a
+	// copy; see Shards).
+	Service Config
+	// Shards is the engine-fleet size (0 or 1 = the classic standalone
+	// daemon). Each shard is an independent engine with its own virtual
+	// clock and journal segment; jobs are placed by consistent hashing
+	// on JobSpec.PlacementKey. Restart with the same count — recovery
+	// refuses journal segments that would re-place recovered jobs.
+	Shards int
+	// Hold enables hold mode (see Daemon).
+	Hold bool
+	// JournalPath, when non-empty, opens (creating if absent) the
+	// write-ahead journal there and recovers any previous life's jobs
+	// before serving traffic. A sharded daemon keeps one segment per
+	// shard: shard 0 uses the path verbatim (so a 1-shard fleet is
+	// journal-compatible with the pre-fleet daemon), shard i uses
+	// "<path>.shard<i>".
+	JournalPath string
 	// RequestTimeout bounds quick HTTP endpoints via
-	// http.TimeoutHandler (0 = unlimited); MaxBody bounds POST request
-	// bodies via http.MaxBytesReader (0 = the 4 MiB default). MaxLag is
-	// the slow-subscriber drop threshold for frame streaming (0 =
-	// DefaultMaxLag; <0 disables dropping). Set all before Handler is
-	// called; see Handler for the exempt endpoints.
+	// http.TimeoutHandler (default 10s; negative disables). Streams and
+	// replays are exempt — see Daemon.Handler.
 	RequestTimeout time.Duration
-	MaxBody        int64
-	MaxLag         int
-
-	// Hold-mode buffer, fleet-level: held specs are not yet placed on
-	// any shard — Release routes the whole sorted batch at once.
-	hmu     sync.Mutex
-	holding bool
-	held    []JobSpec
+	// MaxBody bounds POST request bodies (default 4 MiB).
+	MaxBody int64
+	// MaxLag is the slow-subscriber drop threshold for frame streams
+	// (0 = DefaultMaxLag; negative disables dropping).
+	MaxLag int
+	// Logf receives operational log lines (nil discards them).
+	Logf func(format string, args ...any)
 }
 
-// NewDaemon starts a single-shard daemon for svc — the standalone
-// configuration every prior version of approxd ran, and still the
-// default. hold enables hold mode (see type comment).
-func NewDaemon(svc *Service, hold bool) *Daemon {
-	return NewFleetDaemon([]*Service{svc}, hold)
-}
-
-// NewFleetDaemon starts one driver goroutine per service. Services
-// must be freshly built or recovered (Recover run, no driver yet);
-// svcs[0]'s config supplies the fleet-wide knobs (stream registry
-// sizing, tenant quota).
-func NewFleetDaemon(svcs []*Service, hold bool) *Daemon {
-	cfg := svcs[0].cfg
-	return &Daemon{
-		fleet:   NewFleet(svcs, cfg.TenantQuota),
-		streams: NewStreamSet(cfg.MaxActive, cfg.Workers),
-		holding: hold,
+// NewDaemon builds a daemon and starts its fleet: it expands the shard
+// configs, refuses a journal segment left by a larger fleet, opens and
+// recovers each shard's journal segment, and only then starts the
+// driver goroutines. Call Stop when done.
+func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
+	logf := cfg.Logf
+	if logf == nil {
+		logf = func(string, ...any) {}
 	}
+	shardCfgs := shardConfigs(cfg.Service, cfg.Shards)
+	if cfg.JournalPath != "" {
+		// A segment for shard len(shardCfgs) means a previous life ran
+		// with more shards: booting smaller would silently orphan its
+		// jobs. Refuse before touching any journal.
+		if orphan := shardJournalPath(cfg.JournalPath, len(shardCfgs)); fileExists(orphan) {
+			return nil, fmt.Errorf("jobserver: journal segment %s exists but this boot has only %d shard(s); restart with the original shard count", orphan, len(shardCfgs))
+		}
+	}
+	svcs := make([]*Service, len(shardCfgs))
+	for i, scfg := range shardCfgs {
+		svc := New(scfg)
+		if cfg.JournalPath != "" {
+			if err := recoverShard(svc, shardJournalPath(cfg.JournalPath, i), logf); err != nil {
+				closeServices(svcs[:i])
+				return nil, err
+			}
+		}
+		svcs[i] = svc
+	}
+	d := &Daemon{
+		fleet:          NewFleet(svcs, svcs[0].cfg.TenantQuota),
+		streams:        NewStreamSet(svcs[0].cfg.MaxActive, svcs[0].cfg.Workers),
+		requestTimeout: cfg.RequestTimeout,
+		maxBody:        cfg.MaxBody,
+		maxLag:         cfg.MaxLag,
+		hold:           cfg.Hold,
+	}
+	if d.requestTimeout == 0 {
+		d.requestTimeout = 10 * time.Second
+	}
+	if d.maxBody <= 0 {
+		d.maxBody = 4 << 20 // a generous trace, not a DoS vector
+	}
+	switch {
+	case d.maxLag == 0:
+		d.maxLag = DefaultMaxLag
+	case d.maxLag < 0:
+		d.maxLag = 0
+	}
+	return d, nil
 }
 
-// ShardConfigs expands cfg into per-shard configs: each shard gets a
+// shardConfigs expands cfg into per-shard configs: each shard gets a
 // distinct id prefix ("job-s2-") and its shard index; a count of one
 // keeps cfg untouched, so a 1-shard fleet is bit-compatible with the
 // pre-fleet daemon (ids, journals, everything).
-func ShardConfigs(cfg Config, shards int) []Config {
+func shardConfigs(cfg Config, shards int) []Config {
 	if shards <= 1 {
 		return []Config{cfg}
 	}
@@ -89,44 +153,50 @@ func ShardConfigs(cfg Config, shards int) []Config {
 	return out
 }
 
-// NewShardedDaemon builds shards fresh services from cfg (via
-// ShardConfigs) and starts a fleet daemon over them — the in-process
-// path for benchmarks and tests; cmd/approxd goes through Serve, which
-// also wires per-shard journal segments.
-func NewShardedDaemon(cfg Config, shards int, hold bool) *Daemon {
-	cfgs := ShardConfigs(cfg, shards)
-	svcs := make([]*Service, len(cfgs))
-	for i, c := range cfgs {
-		svcs[i] = New(c)
+// shardJournalPath is shard i's journal segment path: shard 0 keeps
+// the configured path exactly (pre-fleet compatibility), later shards
+// get a ".shard<i>" suffix.
+func shardJournalPath(path string, i int) string {
+	if i == 0 {
+		return path
 	}
-	return NewFleetDaemon(svcs, hold)
+	return fmt.Sprintf("%s.shard%d", path, i)
 }
 
-// Streams returns the continuous-query registry.
-func (d *Daemon) Streams() *StreamSet { return d.streams }
-
-// Service returns shard 0's service — the only shard of a standalone
-// daemon (read-only methods are safe from any goroutine).
-func (d *Daemon) Service() *Service { return d.fleet.Shard(0) }
-
-// Fleet returns the shard router.
-func (d *Daemon) Fleet() *Fleet { return d.fleet }
-
-// do runs fn on shard 0's driver goroutine and waits for it (test
-// hook; fleet-aware callers route through Fleet methods).
-func (d *Daemon) do(fn func()) error {
-	return d.fleet.shards[0].do(fn)
+func fileExists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }
 
-// maxLag resolves the configured slow-subscriber drop threshold.
-func (d *Daemon) maxLag() int {
-	if d.MaxLag == 0 {
-		return DefaultMaxLag
+// recoverShard opens svc's journal segment at path and replays it.
+// Recovery runs before the driver goroutine exists, so the
+// engine-goroutine-only methods are safe here by construction.
+func recoverShard(svc *Service, path string, logf func(string, ...any)) error {
+	j, recs, err := OpenJournal(path)
+	if err != nil {
+		return err
 	}
-	if d.MaxLag < 0 {
-		return 0
+	svc.UseJournal(j)
+	rs, err := svc.Recover(recs)
+	if err != nil {
+		if cerr := j.Close(); cerr != nil {
+			return fmt.Errorf("%w (and journal close failed: %v)", err, cerr)
+		}
+		return err
 	}
-	return d.MaxLag
+	if rs.Terminal+rs.Requeued+rs.Canceled > 0 {
+		logf("journal %s: restored %d completed, re-admitted %d interrupted, finalized %d canceled",
+			path, rs.Terminal, rs.Requeued, rs.Canceled)
+	}
+	return nil
+}
+
+// closeServices closes already-built services during an aborted boot
+// (committing and closing any journals they hold).
+func closeServices(svcs []*Service) {
+	for _, svc := range svcs {
+		svc.Close()
+	}
 }
 
 // Stop shuts every shard driver down and wakes every stream waiter.
@@ -139,13 +209,13 @@ func (d *Daemon) Stop() {
 }
 
 // Drain begins a graceful shutdown: new submissions fail with
-// ErrDraining (HTTP 503 + Retry-After), queued jobs stop being
-// admitted — their journaled submit records carry them to the next
-// boot — and running jobs get up to grace wall-clock time to finish
-// (virtual time runs as fast as the drivers can pump it, so this is
-// normally milliseconds). It returns true when every shard went quiet,
-// false on grace expiry; either way buffered journal records have been
-// committed. Call Stop afterwards.
+// ErrDraining (HTTP 503 + Retry-After) in live and hold mode alike,
+// queued jobs stop being admitted — their journaled submit records
+// carry them to the next boot — and running jobs get up to grace
+// wall-clock time to finish (virtual time runs as fast as the drivers
+// can pump it, so this is normally milliseconds). It returns true when
+// every shard went quiet, false on grace expiry; either way buffered
+// journal records have been committed. Call Stop afterwards.
 func (d *Daemon) Drain(grace time.Duration) bool {
 	d.fleet.StartDrain()
 	deadline := time.Now().Add(grace)
@@ -173,21 +243,20 @@ func (d *Daemon) Drain(grace time.Duration) bool {
 
 // Submit admits one job (live mode — placed on its shard and run
 // there) or parks it (hold mode, in which case the returned id is
-// empty and held is the buffer depth).
+// empty and held is the buffer depth). A draining daemon refuses
+// with ErrDraining in both modes.
 func (d *Daemon) Submit(spec JobSpec) (id string, held int, err error) {
+	if !d.hold {
+		id, err = d.fleet.Submit(spec)
+		return id, 0, err
+	}
+	if d.fleet.Draining() {
+		return "", 0, ErrDraining
+	}
 	d.hmu.Lock()
-	if d.holding {
-		d.held = append(d.held, spec)
-		held = len(d.held)
-		d.hmu.Unlock()
-		return "", held, nil
-	}
-	d.hmu.Unlock()
-	id, err = d.fleet.Submit(spec)
-	if err != nil {
-		return "", 0, err
-	}
-	return id, 0, nil
+	defer d.hmu.Unlock()
+	d.held = append(d.held, spec)
+	return "", len(d.held), nil
 }
 
 // Release replays the held submissions as one sorted batch and
@@ -198,23 +267,4 @@ func (d *Daemon) Release() (states []JobState, err error) {
 	d.held = nil
 	d.hmu.Unlock()
 	return d.fleet.Replay(specs)
-}
-
-// Replay runs a whole trace across the fleet and returns the final
-// states in sorted-trace order. Concurrent live submissions queue
-// behind each shard's share.
-func (d *Daemon) Replay(specs []JobSpec) (states []JobState, err error) {
-	return d.fleet.Replay(specs)
-}
-
-// Stats samples fleet-aggregate counters, each shard on its own driver
-// goroutine, so the engine fields (virtual time, energy) are read
-// between engine events rather than racing the simulations.
-func (d *Daemon) Stats() (Stats, error) {
-	return d.fleet.Stats()
-}
-
-// Cancel aborts a job on its owning shard's driver goroutine.
-func (d *Daemon) Cancel(id string) error {
-	return d.fleet.Cancel(id)
 }

@@ -102,13 +102,10 @@ func (f *Fleet) PlacementShard(key string) int {
 	return f.place(key).idx
 }
 
-// shardFor locates the shard owning job id: by id prefix when the
-// fleet is sharded (ids carry their shard), falling back to a scan for
-// ids that predate sharding or were installed by hand.
+// shardFor locates the shard owning job id: by id prefix (ids carry
+// their shard; a 1-shard fleet's prefix is "job-"), falling back to a
+// scan for ids installed by hand.
 func (f *Fleet) shardFor(id string) *engineShard {
-	if len(f.shards) == 1 {
-		return f.shards[0]
-	}
 	for _, sh := range f.shards {
 		if strings.HasPrefix(id, sh.svc.idPrefix()) {
 			return sh
@@ -124,7 +121,7 @@ func (f *Fleet) shardFor(id string) *engineShard {
 }
 
 // ServiceFor returns the service owning job id (for read paths:
-// JobInfo, StreamFrom, FramesFrom are safe from any goroutine).
+// JobInfo and FramesFrom are safe from any goroutine).
 func (f *Fleet) ServiceFor(id string) *Service { return f.shardFor(id).svc }
 
 // reserve charges one in-flight unit to tenant, failing when the quota
@@ -255,14 +252,6 @@ func (f *Fleet) Cancel(id string) error {
 // not live admission.
 func (f *Fleet) Replay(specs []JobSpec) ([]JobState, error) {
 	ordered := SortTrace(specs)
-	if len(f.shards) == 1 {
-		sh := f.shards[0]
-		var states []JobState
-		if err := sh.do(func() { states = sh.svc.Replay(ordered) }); err != nil {
-			return nil, err
-		}
-		return states, nil
-	}
 	parts := make([][]JobSpec, len(f.shards))
 	route := make([]int, len(ordered))
 	for i, spec := range ordered {

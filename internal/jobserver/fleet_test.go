@@ -11,7 +11,10 @@ import (
 // startFleet boots a sharded daemon (no HTTP) and registers cleanup.
 func startFleet(t *testing.T, cfg Config, shards int) *Daemon {
 	t.Helper()
-	d := NewShardedDaemon(cfg, shards, false)
+	d, err := NewDaemon(DaemonConfig{Service: cfg, Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(d.Stop)
 	return d
 }
@@ -92,7 +95,7 @@ func TestFleetPlacementDeterministicAndBounded(t *testing.T) {
 	build := func(n int) *Fleet {
 		svcs := make([]*Service, n)
 		for i := range svcs {
-			svcs[i] = New(ShardConfigs(Config{}, n)[i])
+			svcs[i] = New(shardConfigs(Config{}, n)[i])
 		}
 		f := NewFleet(svcs, 0)
 		t.Cleanup(f.Close)
@@ -168,22 +171,10 @@ func TestFleetTenantQuota(t *testing.T) {
 // start — without the listener.
 func bootJournaledFleet(t *testing.T, base Config, path string, shards int) *Daemon {
 	t.Helper()
-	svcs := make([]*Service, 0, shards)
-	for i, scfg := range ShardConfigs(base, shards) {
-		svc := New(scfg)
-		j, recs, err := OpenJournal(shardJournalPath(path, i))
-		if err != nil {
-			closeServices(svcs)
-			t.Fatal(err)
-		}
-		svc.UseJournal(j)
-		if _, err := svc.Recover(recs); err != nil {
-			closeServices(svcs)
-			t.Fatal(err)
-		}
-		svcs = append(svcs, svc)
+	d, err := NewDaemon(DaemonConfig{Service: base, Shards: shards, JournalPath: path})
+	if err != nil {
+		t.Fatal(err)
 	}
-	d := NewFleetDaemon(svcs, false)
 	t.Cleanup(d.Stop)
 	return d
 }
@@ -234,7 +225,7 @@ func TestFleetShardedJournalRecovery(t *testing.T) {
 // into the wrong shard must fail loudly instead of silently re-placing
 // jobs (which would change their id sequence and stream identity).
 func TestRecoverRejectsForeignShardRecords(t *testing.T) {
-	cfgs := ShardConfigs(Config{}, 2)
+	cfgs := shardConfigs(Config{}, 2)
 	rec := submitRec(cfgs[1].IDPrefix+"0000", "stray", 9)
 	rec.Shard = 1
 

@@ -212,40 +212,48 @@ func WindowFromWire(f *wire.WindowFrame) WireWindow {
 // daemon (-max-lag) or per request (?lag=N).
 const DefaultMaxLag = 256
 
-// FramesFrom is the encode-once sibling of StreamFrom: it blocks until
-// job id has frames beyond `have` or is terminal, then returns the
-// fresh shared frames, the status, and the updated cursor. Each frame
-// carries its own Seq, so drops appear to the client as Seq gaps.
-//
-// maxLag > 0 enables the slow-subscriber policy: while the job is
-// live, a cursor more than maxLag frames behind the head jumps to the
-// latest frame instead of replaying the backlog (terminal jobs replay
-// in full — history is bounded and the engine no longer produces).
-// Safe from any goroutine.
+// framesAfter applies the subscriber cursor contract to one frame
+// log: an out-of-range cursor is clamped, and while the log is live
+// (not terminal) a cursor more than maxLag > 0 frames behind the head
+// jumps to the latest frame instead of replaying the backlog (terminal
+// logs replay in full — history is bounded and nothing produces any
+// more). It returns a copy of the frames past the cursor, the updated
+// cursor, and whether the caller has anything to return (fresh frames,
+// or a terminal log); otherwise it must wait. Callers hold the lock
+// guarding log, and the copy lets them write frames outside it while
+// the producer restamps the last frame in place.
+func framesAfter(log []*encFrame, have, maxLag int, terminal bool) ([]*encFrame, int, bool) {
+	have = min(max(have, 0), len(log))
+	if !terminal && maxLag > 0 && len(log)-have > maxLag {
+		have = len(log) - 1
+	}
+	if len(log) == have && !terminal {
+		return nil, have, false
+	}
+	return append([]*encFrame(nil), log[have:]...), len(log), true
+}
+
+// FramesFrom blocks until job id has frames beyond `have` or is
+// terminal, then returns the fresh shared frames, the status, and the
+// updated cursor (see framesAfter for the clamp and the maxLag
+// slow-subscriber policy). Each frame carries its own Seq, so drops
+// appear to the client as Seq gaps. Safe from any goroutine.
 func (s *Service) FramesFrom(id string, have, maxLag int) ([]*encFrame, JobStatus, int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if have < 0 {
-		have = 0
-	}
 	for {
 		st, ok := s.states[id]
 		if !ok {
 			return nil, "", have, fmt.Errorf("jobserver: no job %q", id)
 		}
-		if have > len(st.frames) {
-			have = len(st.frames)
-		}
-		if !st.Status.Terminal() && maxLag > 0 && len(st.frames)-have > maxLag {
-			have = len(st.frames) - 1
-		}
-		if len(st.frames) > have || st.Status.Terminal() {
-			fresh := st.frames[have:len(st.frames):len(st.frames)]
-			return fresh, st.Status, len(st.frames), nil
+		fresh, next, ready := framesAfter(st.frames, have, maxLag, st.Status.Terminal())
+		if ready {
+			return fresh, st.Status, next, nil
 		}
 		if s.closed {
-			return nil, st.Status, have, errors.New("jobserver: service shut down")
+			return nil, st.Status, next, errors.New("jobserver: service shut down")
 		}
+		have = next
 		s.cond.Wait()
 	}
 }

@@ -3,11 +3,13 @@ package jobserver
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/url"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -219,5 +221,207 @@ func TestSlowSubscriberDoesNotDelayOthers(t *testing.T) {
 	}
 	if want := "HTTP/1.1 200"; len(line) < len(want) || line[:len(want)] != want {
 		t.Fatalf("stalled watcher got %q, want a 200 stream", line)
+	}
+}
+
+// frameHead is the part of a published frame the route tests inspect,
+// with the frame's raw bytes as served (a JSONL line, or a
+// length-prefixed binary frame).
+type frameHead struct {
+	Seq    int    `json:"seq"`
+	Status string `json:"status"`
+	Final  bool   `json:"final"`
+	raw    []byte
+}
+
+// readFrames fetches one frame route and splits its body into frames.
+// windows selects the binary decoder for /watch bodies.
+func readFrames(t *testing.T, url string, binary, windows bool) []frameHead {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if binary {
+		req.Header.Set("Accept", wire.ContentType)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: HTTP %d", url, resp.StatusCode)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []frameHead
+	if !binary {
+		for _, line := range bytes.SplitAfter(body, []byte("\n")) {
+			if len(line) == 0 {
+				continue
+			}
+			h := frameHead{raw: line}
+			if err := json.Unmarshal(line, &h); err != nil {
+				t.Fatalf("%s: bad JSONL frame %q: %v", url, line, err)
+			}
+			out = append(out, h)
+		}
+		return out
+	}
+	br := bytes.NewReader(body)
+	for br.Len() > 0 {
+		start := len(body) - br.Len()
+		payload, err := wire.ReadFrame(br)
+		if err != nil {
+			t.Fatalf("%s: bad binary frame: %v", url, err)
+		}
+		h := frameHead{raw: body[start : len(body)-br.Len()]}
+		if windows {
+			f, err := wire.DecodeWindowFrame(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Seq, h.Status, h.Final = f.Seq, f.Status, f.Final
+		} else {
+			f, err := wire.DecodeJobFrame(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Seq, h.Status, h.Final = f.Seq, f.Status, f.Final
+		}
+		out = append(out, h)
+	}
+	return out
+}
+
+// TestFrameRoutes drives both frame routes — a job's /stream and a
+// continuous query's /watch — through the shared serving loop in both
+// encodings: a resume mid-series, a resume past the end (one
+// synthesized terminal frame), ?lag=off, and a log that ends before
+// its first frame (a job canceled while queued, a stream stopped
+// before its first window).
+func TestFrameRoutes(t *testing.T) {
+	// MaxActive 2 also admits the two continuous queries below.
+	d, ts := startDaemon(t, Config{MaxActive: 2, SnapshotEvery: 2, Workers: 1}, false)
+
+	// One driver command fills both active slots — the first job with a
+	// frame series — then submits a third job, which queues, and
+	// cancels it before it can start.
+	sh := d.fleet.shards[0]
+	var seriesJob, canceledJob string
+	if err := sh.do(func() {
+		var err error
+		if seriesJob, err = sh.svc.Submit(JobSpec{Name: "series", App: "total-size", Blocks: 64, LinesPerBlock: 100, Seed: 4}); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err = sh.svc.Submit(JobSpec{Name: "filler", App: "total-size", Blocks: 8, LinesPerBlock: 50, Seed: 6}); err != nil {
+			t.Error(err)
+			return
+		}
+		if canceledJob, err = sh.svc.Submit(JobSpec{Name: "victim", App: "total-size", Blocks: 8, LinesPerBlock: 50, Seed: 5}); err != nil {
+			t.Error(err)
+			return
+		}
+		if err = sh.svc.Cancel(canceledJob); err != nil {
+			t.Error(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := d.fleet.JobInfo(canceledJob); st.Status != StatusCanceled || !strings.Contains(st.Err, "queued") {
+		t.Fatalf("victim job: %s %q, want canceled while queued", st.Status, st.Err)
+	}
+
+	seriesStream, err := d.streams.Open(tinyStreamSpec(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A window longer than the whole source closes only when the source
+	// drains, long after the immediate Stop: no window is ever published.
+	stopSpec := tinyStreamSpec(6)
+	stopSpec.Blocks, stopSpec.Window, stopSpec.MaxWindows = 64, 1e9, 0
+	stoppedStream, err := d.streams.Open(stopSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.streams.Stop(stoppedStream); err != nil {
+		t.Fatal(err)
+	}
+
+	routes := []struct {
+		name          string
+		series, empty string // URL paths
+		emptyStatus   string
+		windows       bool
+	}{
+		{"jobs", "/v1/jobs/" + seriesJob + "/stream", "/v1/jobs/" + canceledJob + "/stream", string(StatusCanceled), false},
+		{"streams", "/v1/streams/" + seriesStream + "/watch", "/v1/streams/" + stoppedStream + "/watch", string(StreamStopped), true},
+	}
+	for _, rt := range routes {
+		var heads [2][]frameHead
+		for bi, binary := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/binary=%v", rt.name, binary), func(t *testing.T) {
+				get := func(path string) []frameHead { return readFrames(t, ts.URL+path, binary, rt.windows) }
+				full := get(rt.series)
+				heads[bi] = full
+				n := len(full)
+				if n < 3 {
+					t.Fatalf("series has %d frames, want >= 3", n)
+				}
+				for i, f := range full {
+					if f.Seq != i {
+						t.Fatalf("frame %d has seq %d", i, f.Seq)
+					}
+				}
+				last := full[n-1]
+				if !last.Final || last.Status != "done" {
+					t.Fatalf("last frame %+v, want final and done", last)
+				}
+
+				mid := get(fmt.Sprintf("%s?from=%d", rt.series, n/2))
+				if len(mid) != n-n/2 {
+					t.Fatalf("from=%d returned %d frames, want %d", n/2, len(mid), n-n/2)
+				}
+				for i, f := range mid {
+					if !bytes.Equal(f.raw, full[n/2+i].raw) {
+						t.Errorf("from=%d frame %d differs from the full series", n/2, i)
+					}
+				}
+
+				past := get(fmt.Sprintf("%s?from=%d", rt.series, n+5))
+				if len(past) != 1 || past[0].Seq != n || past[0].Status != last.Status || past[0].Final {
+					t.Errorf("from past the end returned %+v, want one synthesized %s frame with seq %d", past, last.Status, n)
+				}
+
+				off := get(rt.series + "?lag=off")
+				if len(off) != n {
+					t.Fatalf("lag=off returned %d frames, want %d", len(off), n)
+				}
+				for i, f := range off {
+					if !bytes.Equal(f.raw, full[i].raw) {
+						t.Errorf("lag=off frame %d differs from the full series", i)
+					}
+				}
+
+				empty := get(rt.empty)
+				if len(empty) != 1 || empty[0].Seq != 0 || empty[0].Status != rt.emptyStatus || empty[0].Final {
+					t.Errorf("log that ended before its first frame served %+v, want one synthesized %s frame with seq 0", empty, rt.emptyStatus)
+				}
+			})
+		}
+		// Both encodings carry the same frames.
+		if len(heads[0]) != len(heads[1]) {
+			t.Fatalf("%s: JSONL served %d frames, binary %d", rt.name, len(heads[0]), len(heads[1]))
+		}
+		for i := range heads[0] {
+			j, b := heads[0][i], heads[1][i]
+			if j.Seq != b.Seq || j.Status != b.Status || j.Final != b.Final {
+				t.Errorf("%s frame %d: JSONL %+v vs binary %+v", rt.name, i, j, b)
+			}
+		}
 	}
 }

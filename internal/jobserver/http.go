@@ -148,19 +148,19 @@ func wireStates(sts []JobState) []WireState {
 	return out
 }
 
-// Handler returns the daemon's HTTP API. Set RequestTimeout and
-// MaxBody on the Daemon before calling it to harden the request path;
-// both zero values leave behavior unlimited (handy in tests).
+// Handler returns the daemon's HTTP API, bounded by the
+// DaemonConfig's RequestTimeout and MaxBody.
 //
 // The timeout wraps every quick endpoint with http.TimeoutHandler.
-// Exempt by design: /stream (open-ended long poll), /replay and
-// /release (synchronous batch runs whose duration is the work itself).
+// Exempt by design: /stream and /watch (open-ended long polls),
+// /replay and /release (synchronous batch runs whose duration is the
+// work itself).
 func (d *Daemon) Handler() http.Handler {
 	quick := func(h http.HandlerFunc) http.Handler {
-		if d.RequestTimeout <= 0 {
+		if d.requestTimeout <= 0 {
 			return h
 		}
-		return http.TimeoutHandler(h, d.RequestTimeout, `{"error":"request timed out"}`)
+		return http.TimeoutHandler(h, d.requestTimeout, `{"error":"request timed out"}`)
 	}
 	mux := http.NewServeMux()
 	mux.Handle("POST /v1/jobs", quick(d.handleSubmit))
@@ -209,14 +209,6 @@ func (d *Daemon) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
-// maxBody is the effective POST body bound.
-func (d *Daemon) maxBody() int64 {
-	if d.MaxBody > 0 {
-		return d.MaxBody
-	}
-	return 4 << 20 // default 4 MiB: a generous trace, not a DoS vector
-}
-
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -230,7 +222,7 @@ func writeError(w http.ResponseWriter, code int, err error) {
 
 func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, d.maxBody())).Decode(&spec); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, d.maxBody)).Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad spec: %w", err))
 		return
 	}
@@ -267,7 +259,7 @@ func (d *Daemon) handleGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Daemon) handleCancel(w http.ResponseWriter, r *http.Request) {
-	if err := d.Cancel(r.PathValue("id")); err != nil {
+	if err := d.fleet.Cancel(r.PathValue("id")); err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
@@ -305,32 +297,36 @@ func wantBinary(r *http.Request) bool {
 // disables it, e.g. for an auditing client that must see every frame).
 func (d *Daemon) streamLag(r *http.Request) int {
 	q := r.URL.Query().Get("lag")
-	if q == "" {
-		return d.maxLag()
-	}
 	if q == "off" {
 		return 0
 	}
 	if n, err := strconv.Atoi(q); err == nil && n > 0 {
 		return n
 	}
-	return d.maxLag()
+	return d.maxLag
 }
 
-// handleStream serves a job's snapshot frames — JSONL or negotiated
-// binary — ending with the terminal frame (final=true for successful
-// jobs). Frames are pre-encoded and shared across subscribers; this
-// handler only copies buffers, so its cost does not scale with frame
-// size times subscriber count, and a stalled client blocks nothing but
-// its own connection (falling too far behind skips it to the latest
-// frame — the Seq gap tells it frames were dropped).
-func (d *Daemon) handleStream(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	svc := d.fleet.ServiceFor(id)
-	if _, ok := svc.JobInfo(id); !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", id))
-		return
-	}
+// frameStatus is a frame log's lifecycle state (JobStatus or
+// StreamStatus).
+type frameStatus interface {
+	~string
+	Terminal() bool
+}
+
+// serveFrames is the serving loop behind both frame routes: it writes
+// a frame log — JSONL, or binary when negotiated — from the ?from=
+// cursor until the log is terminal. wait blocks for frames past a
+// cursor (FramesFrom, WatchFramesFrom); synth builds the terminal
+// frame sent when the log ends with nothing new to carry the ending
+// (terminal before its first frame, or a fully caught-up resume), so
+// clients always see an ending. Frames are pre-encoded and shared
+// across subscribers; this loop only copies buffers, outside every
+// lock, so its cost does not scale with frame size times subscriber
+// count, and a stalled client blocks nothing but its own connection
+// (falling too far behind skips it to the latest frame — the Seq gap
+// tells it frames were dropped).
+func serveFrames[S frameStatus](w http.ResponseWriter, r *http.Request,
+	wait func(have int) ([]*encFrame, S, int, error), synth func(seq int, status S) *encFrame) {
 	binary := wantBinary(r)
 	if binary {
 		w.Header().Set("Content-Type", wire.ContentType)
@@ -339,62 +335,63 @@ func (d *Daemon) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		// Push the headers out before blocking for the first frame, so
-		// clients observe a connected stream even on an idle job.
-		flusher.Flush()
-	}
-	cursor := 0
-	if from := r.URL.Query().Get("from"); from != "" {
-		// Reconnect resume: skip frames the client already has.
-		if n, err := strconv.Atoi(from); err == nil && n > 0 {
-			cursor = n
+	flush := func() {
+		if flusher != nil {
+			flusher.Flush()
 		}
 	}
-	lag := d.streamLag(r)
+	// Push the headers out before blocking for the first frame, so
+	// clients observe a connected stream even on an idle log.
+	flush()
+	cursor := 0
+	// Reconnect resume: skip frames the client already has.
+	if n, err := strconv.Atoi(r.URL.Query().Get("from")); err == nil && n > 0 {
+		cursor = n
+	}
 	for {
-		fresh, status, next, err := svc.FramesFrom(id, cursor, lag)
+		fresh, status, next, err := wait(cursor)
 		if err != nil {
 			return
 		}
-		terminal := status.Terminal()
 		for _, f := range fresh {
 			if f.WriteTo(w, binary) != nil {
 				return // client went away
 			}
 		}
 		cursor = next
-		if flusher != nil {
-			flusher.Flush()
+		if status.Terminal() && len(fresh) == 0 {
+			//lint:ignore errcheck the stream is ending either way
+			_ = synth(cursor, status).WriteTo(w, binary)
 		}
-		if terminal {
-			if len(fresh) == 0 {
-				// Failed/canceled before any snapshot (or a resume that
-				// was already fully caught up): emit one terminal frame
-				// so clients always see an ending.
-				//lint:ignore errcheck the stream is ending either way
-				_ = synthJobFrame(cursor, status).WriteTo(w, binary)
-				if flusher != nil {
-					flusher.Flush()
-				}
-			}
+		flush()
+		if status.Terminal() || r.Context().Err() != nil {
 			return
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		default:
 		}
 	}
 }
 
+// handleStream serves a job's snapshot frames, ending with the
+// terminal frame (final=true for successful jobs).
+func (d *Daemon) handleStream(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	svc := d.fleet.ServiceFor(id)
+	if _, ok := svc.JobInfo(id); !ok {
+		writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", id))
+		return
+	}
+	lag := d.streamLag(r)
+	serveFrames(w, r, func(have int) ([]*encFrame, JobStatus, int, error) {
+		return svc.FramesFrom(id, have, lag)
+	}, synthJobFrame)
+}
+
 func (d *Daemon) handleReplay(w http.ResponseWriter, r *http.Request) {
 	var specs []JobSpec
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, d.maxBody())).Decode(&specs); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, d.maxBody)).Decode(&specs); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad trace: %w", err))
 		return
 	}
-	states, err := d.Replay(specs)
+	states, err := d.fleet.Replay(specs)
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, err)
 		return
@@ -412,7 +409,7 @@ func (d *Daemon) handleRelease(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (d *Daemon) handleStats(w http.ResponseWriter, _ *http.Request) {
-	st, err := d.Stats()
+	st, err := d.fleet.Stats()
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, err)
 		return

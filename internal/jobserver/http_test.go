@@ -15,11 +15,16 @@ import (
 
 func startDaemon(t *testing.T, cfg Config, hold bool) (*Daemon, *httptest.Server) {
 	t.Helper()
-	d := NewDaemon(New(cfg), hold)
+	// Quick endpoints are left unbounded: TestHTTPErrors wedges the
+	// driver on purpose and must see 429s, not request timeouts.
+	d, err := NewDaemon(DaemonConfig{Service: cfg, Hold: hold, RequestTimeout: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(d.Handler())
-	// Stop first: it closes the service, waking any handler blocked in
-	// StreamFrom, so the listener close (which waits for in-flight
-	// requests) cannot deadlock on a stuck stream.
+	// Stop first: it closes the services, waking any handler blocked in
+	// FramesFrom or WatchFramesFrom, so the listener close (which waits
+	// for in-flight requests) cannot deadlock on a stuck stream.
 	t.Cleanup(func() { d.Stop(); ts.Close() })
 	return d, ts
 }

@@ -3,6 +3,7 @@ package jobserver
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -101,7 +102,7 @@ func TestRecoverRestoresCompleted(t *testing.T) {
 		if resultBytes(t, got.Result) != resultBytes(t, want.Result) {
 			t.Errorf("job %s: restored result not byte-identical", want.ID)
 		}
-		if len(got.Snapshots) == 0 {
+		if len(got.frames) == 0 {
 			t.Errorf("job %s: restored without a terminal snapshot; streams would hang", want.ID)
 		}
 	}
@@ -349,31 +350,37 @@ func TestDrainQueuedJobsRecovered(t *testing.T) {
 
 // TestDrainHTTP503RetryAfter: over the wire, a draining daemon answers
 // submissions with 503 + Retry-After and flips /readyz, while /healthz
-// stays green (the process is healthy, just leaving).
+// stays green (the process is healthy, just leaving). Hold mode must
+// refuse too: parking the spec would acknowledge a job that Release
+// then rejects.
 func TestDrainHTTP503RetryAfter(t *testing.T) {
-	d, ts := startDaemon(t, Config{SnapshotEvery: -1}, false)
+	for _, hold := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hold=%v", hold), func(t *testing.T) {
+			d, ts := startDaemon(t, Config{SnapshotEvery: -1}, hold)
 
-	if code := getJSON(t, ts.URL+"/readyz", nil); code != http.StatusOK {
-		t.Fatalf("readyz before drain: %d", code)
-	}
-	d.Service().StartDrain()
+			if code := getJSON(t, ts.URL+"/readyz", nil); code != http.StatusOK {
+				t.Fatalf("readyz before drain: %d", code)
+			}
+			d.fleet.StartDrain()
 
-	buf := mustJSON(t, JobSpec{App: "total-size", Blocks: 8, LinesPerBlock: 50, Seed: 1})
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("submit during drain: HTTP %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 without Retry-After header")
-	}
-	if code := getJSON(t, ts.URL+"/readyz", nil); code != http.StatusServiceUnavailable {
-		t.Fatalf("readyz during drain: %d, want 503", code)
-	}
-	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
-		t.Fatalf("healthz during drain: %d, want 200", code)
+			buf := mustJSON(t, JobSpec{App: "total-size", Blocks: 8, LinesPerBlock: 50, Seed: 1})
+			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(buf))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("submit during drain: HTTP %d, want 503", resp.StatusCode)
+			}
+			if resp.Header.Get("Retry-After") == "" {
+				t.Fatal("503 without Retry-After header")
+			}
+			if code := getJSON(t, ts.URL+"/readyz", nil); code != http.StatusServiceUnavailable {
+				t.Fatalf("readyz during drain: %d, want 503", code)
+			}
+			if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
+				t.Fatalf("healthz during drain: %d, want 200", code)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package jobserver
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -182,9 +183,9 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	}
 }
 
-// TestSnapshotsConvergeToFinal: streamed snapshots appear while the
-// job runs, advance in virtual time, and the last one is exactly the
-// job's final output.
+// TestSnapshotsConvergeToFinal: streamed snapshot frames appear while
+// the job runs, advance in virtual time, and the last one is exactly
+// the job's final output.
 func TestSnapshotsConvergeToFinal(t *testing.T) {
 	spec := JobSpec{Name: "snap", App: "project-popularity", Blocks: 80, LinesPerBlock: 200,
 		Seed: 9, Controller: "static", SampleRatio: 0.25}
@@ -203,7 +204,14 @@ func TestSnapshotsConvergeToFinal(t *testing.T) {
 		t.Fatalf("run: %s %s", st.Status, st.Err)
 	}
 	full, _ := svc.JobInfo(st.ID)
-	snaps := full.Snapshots
+	fresh, status, _, err := svc.FramesFrom(st.ID, 0, 0)
+	if err != nil || !status.Terminal() {
+		t.Fatalf("frames of a finished job: status %s, err %v", status, err)
+	}
+	snaps := make([]*WireFrame, len(fresh))
+	for i, f := range fresh {
+		snaps[i] = f.src.(*WireFrame)
+	}
 	if len(snaps) < 3 {
 		t.Fatalf("want >= 3 snapshots at period %.2f over runtime %.2f, got %d",
 			runtime/8, runtime, len(snaps))
@@ -214,14 +222,16 @@ func TestSnapshotsConvergeToFinal(t *testing.T) {
 		}
 	}
 	last := snaps[len(snaps)-1]
-	compareOutputs(t, "final-snapshot", last.Estimates, full.Result.Outputs)
+	if !reflect.DeepEqual(last.Estimates, WireEstimates(full.Result.Outputs)) {
+		t.Errorf("final snapshot diverges from the result:\n%+v\nvs\n%+v", last.Estimates, WireEstimates(full.Result.Outputs))
+	}
 	if !stats.AlmostEqual(last.T, full.Result.Runtime, 0) {
 		t.Errorf("terminal snapshot at %.3f, runtime %.3f", last.T, full.Result.Runtime)
 	}
 }
 
-// TestStreamFromFollowsJob replays a job, then walks the snapshot
-// stream with a cursor the way the HTTP handler does.
+// TestStreamFromFollowsJob replays a job, then walks its frame log
+// with a cursor the way the HTTP handler does.
 func TestStreamFromFollowsJob(t *testing.T) {
 	spec := JobSpec{Name: "stream", App: "total-size", Blocks: 40, LinesPerBlock: 100, Seed: 3}
 	svc := New(Config{SnapshotEvery: 5})
@@ -231,7 +241,7 @@ func TestStreamFromFollowsJob(t *testing.T) {
 	}
 	cursor, total := 0, 0
 	for {
-		fresh, status, next, err := svc.StreamFrom(states[0].ID, cursor)
+		fresh, status, next, err := svc.FramesFrom(states[0].ID, cursor, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,10 +252,10 @@ func TestStreamFromFollowsJob(t *testing.T) {
 		}
 	}
 	full, _ := svc.JobInfo(states[0].ID)
-	if total != len(full.Snapshots) {
-		t.Errorf("stream delivered %d snapshots, state holds %d", total, len(full.Snapshots))
+	if total != len(full.frames) {
+		t.Errorf("stream delivered %d frames, state holds %d", total, len(full.frames))
 	}
-	if _, _, _, err := svc.StreamFrom("nope", 0); err == nil {
-		t.Error("StreamFrom of unknown job should error")
+	if _, _, _, err := svc.FramesFrom("nope", 0, 0); err == nil {
+		t.Error("FramesFrom of unknown job should error")
 	}
 }

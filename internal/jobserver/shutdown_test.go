@@ -27,12 +27,15 @@ func TestCloseIdempotent(t *testing.T) {
 	if err := svc.JournalErr(); err != nil {
 		t.Fatalf("repeated Close corrupted the journal state: %v", err)
 	}
-	d := NewDaemon(New(Config{SnapshotEvery: -1}), false)
+	d, err := NewDaemon(DaemonConfig{Service: Config{SnapshotEvery: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	d.Stop()
 	d.Stop()
 }
 
-// TestCloseWakesStreamWaiters: goroutines blocked in StreamFrom on a
+// TestCloseWakesStreamWaiters: goroutines blocked in FramesFrom on a
 // never-finishing job must all wake with an error when the service
 // closes — a hung waiter would hold its HTTP handler, and with it the
 // listener, open forever.
@@ -52,7 +55,7 @@ func TestCloseWakesStreamWaiters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _, _, errs[i] = svc.StreamFrom(id, 0)
+			_, _, _, errs[i] = svc.FramesFrom(id, 0, 0)
 		}()
 	}
 	// Give the waiters a moment to block (late arrivals see closed and
@@ -80,11 +83,12 @@ func TestCloseWakesStreamWaiters(t *testing.T) {
 // deadlock.
 func TestShutdownCompletesInflightStream(t *testing.T) {
 	d, ts := startDaemon(t, Config{SnapshotEvery: 5}, false)
-	svc := d.Service()
+	sh := d.fleet.shards[0]
+	svc := sh.svc
 	// Freeze a job in the queue: drain blocks dispatch, so the enqueued
 	// job can never start, and its stream never produces a frame.
 	svc.StartDrain()
-	if err := d.do(func() {
+	if err := sh.do(func() {
 		spec := JobSpec{Name: "frozen", App: "total-size", Blocks: 8, LinesPerBlock: 50, Seed: 2}
 		job, err := spec.Build(1)
 		if err != nil {
@@ -117,7 +121,7 @@ func TestShutdownCompletesInflightStream(t *testing.T) {
 		t.Fatal("stream connect timed out")
 	}
 
-	// Stop wakes the handler's StreamFrom wait; the listener close then
+	// Stop wakes the handler's FramesFrom wait; the listener close then
 	// has no in-flight request left to wait on.
 	d.Stop()
 	closed := make(chan struct{})

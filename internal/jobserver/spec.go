@@ -209,6 +209,28 @@ func (s JobSpec) PlacementKey() string {
 	return fmt.Sprintf("%s-%d", s.App, s.Seed)
 }
 
+// LoadSpec is the op'th job of the closed-loop load generator's mix
+// (internal/loadgen): small (so the loop turns over quickly),
+// deterministic in (seed, op), and tenant-labeled so a sharded daemon
+// spreads the load by placement key.
+func LoadSpec(seed int64, op, tenants int) JobSpec {
+	if tenants <= 0 {
+		tenants = 8
+	}
+	apps := Apps()
+	spec := JobSpec{
+		Name:          fmt.Sprintf("load-%04d", op),
+		App:           apps[op%len(apps)],
+		Blocks:        12,
+		LinesPerBlock: 80,
+		Seed:          seed*1009 + int64(op),
+		Tenant:        fmt.Sprintf("tenant-%02d", op%tenants),
+		Controller:    "static",
+		SampleRatio:   0.25,
+	}
+	return spec
+}
+
 // GenerateTrace builds a seeded submission trace of n jobs: a
 // deterministic mix of catalog apps, weights, approximation modes, and
 // staggered virtual submission times. The same (n, seed) always yields

@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"strconv"
 
 	"approxhadoop/internal/stream"
-	"approxhadoop/internal/wire"
 )
 
 // The streaming-plane HTTP API, mounted beside the batch routes:
@@ -98,7 +96,7 @@ type WireStream struct {
 }
 
 func wireStream(st StreamState) WireStream {
-	return WireStream{ID: st.ID, Spec: st.Spec, Status: st.Status, Err: st.Err, Windows: len(st.Windows)}
+	return WireStream{ID: st.ID, Spec: st.Spec, Status: st.Status, Err: st.Err, Windows: st.frames}
 }
 
 func (d *Daemon) handleStreamOpen(w http.ResponseWriter, r *http.Request) {
@@ -108,7 +106,7 @@ func (d *Daemon) handleStreamOpen(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec StreamSpec
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, d.maxBody())).Decode(&spec); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, d.maxBody)).Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad stream spec: %w", err))
 		return
 	}
@@ -150,66 +148,17 @@ func (d *Daemon) handleStreamStop(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "stopping"})
 }
 
-// handleStreamWatch serves a continuous query's window frames — JSONL
-// or negotiated binary — ending when the stream is terminal
-// (final=true on the last frame of a stream that drained normally).
-// Like /v1/jobs/{id}/stream, frames are encoded once and shared across
-// watchers, with drop-to-latest for watchers that fall too far behind.
+// handleStreamWatch serves a continuous query's window frames, ending
+// when the stream is terminal (final=true on the last frame of a
+// stream that drained normally).
 func (d *Daemon) handleStreamWatch(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, ok := d.streams.Info(id); !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no stream %q", id))
 		return
 	}
-	binary := wantBinary(r)
-	if binary {
-		w.Header().Set("Content-Type", wire.ContentType)
-	} else {
-		w.Header().Set("Content-Type", "application/jsonl")
-	}
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		flusher.Flush()
-	}
-	cursor := 0
-	if from := r.URL.Query().Get("from"); from != "" {
-		if n, err := strconv.Atoi(from); err == nil && n > 0 {
-			cursor = n
-		}
-	}
 	lag := d.streamLag(r)
-	for {
-		fresh, status, next, err := d.streams.WatchFramesFrom(id, cursor, lag)
-		if err != nil {
-			return
-		}
-		terminal := status.Terminal()
-		for _, f := range fresh {
-			if f.WriteTo(w, binary) != nil {
-				return // client went away
-			}
-		}
-		cursor = next
-		if flusher != nil {
-			flusher.Flush()
-		}
-		if terminal {
-			if len(fresh) == 0 {
-				// Stopped/failed before any window (or a fully caught-up
-				// resume): emit one terminal frame so clients see an ending.
-				//lint:ignore errcheck the stream is ending either way
-				_ = synthWindowFrame(cursor, status).WriteTo(w, binary)
-				if flusher != nil {
-					flusher.Flush()
-				}
-			}
-			return
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		default:
-		}
-	}
+	serveFrames(w, r, func(have int) ([]*encFrame, StreamStatus, int, error) {
+		return d.streams.WatchFramesFrom(id, have, lag)
+	}, synthWindowFrame)
 }

@@ -4,8 +4,8 @@
 // windowed query — a streaming sibling of JobSpec — naming a scenario
 // from the stream catalog plus window/SLO/rate settings. StreamSet
 // runs each opened stream's Pipeline on its own goroutine and
-// accumulates the emitted WindowResults as a Seq-numbered frame log
-// that watchers resume from, mirroring Service.StreamFrom.
+// publishes the emitted WindowResults as a Seq-numbered frame log
+// that watchers resume from, mirroring Service.FramesFrom.
 //
 // Streams are deliberately not journaled: a window series is a pure
 // function of (spec, seed), so there is no state worth checkpointing —
@@ -154,18 +154,18 @@ type StreamState struct {
 	Spec   StreamSpec   `json:"spec"`
 	Status StreamStatus `json:"status"`
 	Err    string       `json:"error,omitempty"`
-	// Windows is the emitted series so far; its index is the watch
-	// cursor (Seq).
-	Windows []stream.WindowResult `json:"-"`
+	// frames is the number of window frames published so far (the next
+	// watch cursor).
+	frames int
 }
 
 // streamEntry is the set's per-stream bookkeeping.
 type streamEntry struct {
 	state    *StreamState // guarded by StreamSet.mu
 	canceled bool         // guarded by StreamSet.mu
-	// frames is the encode-once wire form of state.Windows: one shared
-	// buffer per Seq (see frames.go). Appends happen on the stream's
-	// pipeline goroutine; reads anywhere under StreamSet.mu.
+	// frames is the stream's window series in its encode-once wire
+	// form: one shared buffer per Seq (see frames.go). Appends happen on
+	// the stream's pipeline goroutine; reads anywhere under StreamSet.mu.
 	frames []*encFrame
 }
 
@@ -257,7 +257,6 @@ func (s *StreamSet) run(e *streamEntry, p *stream.Pipeline) {
 			s.mu.Unlock()
 			return errStreamCanceled
 		}
-		e.state.Windows = append(e.state.Windows, r)
 		e.frames = append(e.frames, f)
 		if last {
 			e.state.Status = StreamDone
@@ -317,7 +316,7 @@ func (s *StreamSet) Info(id string) (StreamState, bool) {
 	if !ok {
 		return StreamState{}, false
 	}
-	return copyStreamState(e.state), true
+	return e.snapshot(), true
 }
 
 // List returns every stream's state in open order.
@@ -326,81 +325,38 @@ func (s *StreamSet) List() []StreamState {
 	defer s.mu.Unlock()
 	out := make([]StreamState, 0, len(s.order))
 	for _, id := range s.order {
-		out = append(out, copyStreamState(s.streams[id].state))
+		out = append(out, s.streams[id].snapshot())
 	}
 	return out
 }
 
-// copyStreamState snapshots a state under the set lock. Emitted
-// windows are immutable once published, so sharing the capped slice
-// with readers is safe.
-func copyStreamState(st *StreamState) StreamState {
-	cp := *st
-	cp.Windows = st.Windows[:len(st.Windows):len(st.Windows)]
+// snapshot copies the entry's state under the set lock.
+func (e *streamEntry) snapshot() StreamState {
+	cp := *e.state
+	cp.frames = len(e.frames)
 	return cp
 }
 
-// WatchFrom blocks until stream id has windows beyond `have` or is
-// terminal, then returns the fresh windows, the status, and the
-// updated cursor — the streaming-plane mirror of Service.StreamFrom.
-// Callers loop until Terminal; an out-of-range resume cursor is
-// clamped.
-func (s *StreamSet) WatchFrom(id string, have int) ([]stream.WindowResult, StreamStatus, int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if have < 0 {
-		have = 0
-	}
-	for {
-		e, ok := s.streams[id]
-		if !ok {
-			return nil, "", have, fmt.Errorf("jobserver: no stream %q", id)
-		}
-		st := e.state
-		if have > len(st.Windows) {
-			have = len(st.Windows)
-		}
-		if len(st.Windows) > have || st.Status.Terminal() {
-			fresh := st.Windows[have:len(st.Windows):len(st.Windows)]
-			return fresh, st.Status, len(st.Windows), nil
-		}
-		if s.closed {
-			return nil, st.Status, have, errors.New("jobserver: stream set shut down")
-		}
-		s.cond.Wait()
-	}
-}
-
-// WatchFramesFrom is the encode-once sibling of WatchFrom: it returns
-// the pre-encoded shared frames past `have` instead of the raw
-// windows. maxLag > 0 enables the slow-subscriber policy — a watcher
-// more than maxLag frames behind a live stream jumps to the latest
-// frame (the Seq gap is its drop signal); terminal streams replay in
-// full.
+// WatchFramesFrom blocks until stream id has frames beyond `have` or
+// is terminal, then returns the pre-encoded shared frames past `have`,
+// the status, and the updated cursor — the streaming-plane mirror of
+// Service.FramesFrom, with the same cursor contract (see framesAfter).
 func (s *StreamSet) WatchFramesFrom(id string, have, maxLag int) ([]*encFrame, StreamStatus, int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if have < 0 {
-		have = 0
-	}
 	for {
 		e, ok := s.streams[id]
 		if !ok {
 			return nil, "", have, fmt.Errorf("jobserver: no stream %q", id)
 		}
-		if have > len(e.frames) {
-			have = len(e.frames)
-		}
-		if !e.state.Status.Terminal() && maxLag > 0 && len(e.frames)-have > maxLag {
-			have = len(e.frames) - 1
-		}
-		if len(e.frames) > have || e.state.Status.Terminal() {
-			fresh := e.frames[have:len(e.frames):len(e.frames)]
-			return fresh, e.state.Status, len(e.frames), nil
+		fresh, next, ready := framesAfter(e.frames, have, maxLag, e.state.Status.Terminal())
+		if ready {
+			return fresh, e.state.Status, next, nil
 		}
 		if s.closed {
-			return nil, e.state.Status, have, errors.New("jobserver: stream set shut down")
+			return nil, e.state.Status, next, errors.New("jobserver: stream set shut down")
 		}
+		have = next
 		s.cond.Wait()
 	}
 }

@@ -8,8 +8,6 @@ import (
 	"strconv"
 	"sync"
 	"testing"
-
-	"approxhadoop/internal/stream"
 )
 
 // tinyStreamSpec is a continuous query small enough for unit tests.
@@ -28,16 +26,16 @@ func tinyStreamSpec(seed int64) StreamSpec {
 	}
 }
 
-// watchAll drains a stream through WatchFrom the way an HTTP client
-// would: loop on the cursor until terminal.
-func watchAll(t *testing.T, s *StreamSet, id string, from int) ([]stream.WindowResult, StreamStatus) {
+// watchAll drains a stream's frame log through WatchFramesFrom the
+// way the HTTP handler does: loop on the cursor until terminal.
+func watchAll(t *testing.T, s *StreamSet, id string, from int) ([]*encFrame, StreamStatus) {
 	t.Helper()
-	var wins []stream.WindowResult
+	var wins []*encFrame
 	cursor := from
 	for {
-		fresh, status, next, err := s.WatchFrom(id, cursor)
+		fresh, status, next, err := s.WatchFramesFrom(id, cursor, 0)
 		if err != nil {
-			t.Fatalf("WatchFrom(%s, %d): %v", id, cursor, err)
+			t.Fatalf("WatchFramesFrom(%s, %d): %v", id, cursor, err)
 		}
 		wins = append(wins, fresh...)
 		cursor = next
@@ -47,10 +45,20 @@ func watchAll(t *testing.T, s *StreamSet, id string, from int) ([]stream.WindowR
 	}
 }
 
-// TestStreamSetWatchAndResume: a watcher sees every window exactly
-// once, a resumed watcher sees exactly the suffix, and reopening the
-// same spec — even in a fresh set, as after a daemon restart — replays
-// a byte-identical series.
+// seriesBytes concatenates frames' binary payloads: equal bytes mean a
+// byte-identical published series.
+func seriesBytes(frames []*encFrame) []byte {
+	var b []byte
+	for _, f := range frames {
+		b = append(b, f.bin...)
+	}
+	return b
+}
+
+// TestStreamSetWatchAndResume: a watcher sees every window frame
+// exactly once, a resumed watcher sees exactly the suffix, and
+// reopening the same spec — even in a fresh set, as after a daemon
+// restart — replays a byte-identical series.
 func TestStreamSetWatchAndResume(t *testing.T) {
 	s := NewStreamSet(4, 2)
 	defer s.Close()
@@ -71,11 +79,11 @@ func TestStreamSetWatchAndResume(t *testing.T) {
 	if len(tail) != 3 {
 		t.Fatalf("resume from 3 returned %d windows; want 3", len(tail))
 	}
-	if !bytes.Equal(stream.SeriesBytes(tail), stream.SeriesBytes(wins[3:])) {
+	if !bytes.Equal(seriesBytes(tail), seriesBytes(wins[3:])) {
 		t.Errorf("resumed suffix differs from the original series")
 	}
 	// A cursor past the end clamps instead of erroring.
-	none, st2, next, err := s.WatchFrom(id, 99)
+	none, st2, next, err := s.WatchFramesFrom(id, 99, 0)
 	if err != nil || len(none) != 0 || next != 6 || !st2.Terminal() {
 		t.Errorf("over-large cursor: got %d wins, status %s, next %d, err %v", len(none), st2, next, err)
 	}
@@ -89,8 +97,8 @@ func TestStreamSetWatchAndResume(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	wins2, _ := watchAll(t, s2, id2, 0)
-	if !bytes.Equal(stream.SeriesBytes(wins), stream.SeriesBytes(wins2)) {
-		t.Errorf("reopened stream series differs:\n%s\nvs\n%s", stream.SeriesBytes(wins), stream.SeriesBytes(wins2))
+	if !bytes.Equal(seriesBytes(wins), seriesBytes(wins2)) {
+		t.Errorf("reopened stream series differs:\n%x\nvs\n%x", seriesBytes(wins), seriesBytes(wins2))
 	}
 }
 
@@ -114,8 +122,10 @@ func TestStreamSetValidation(t *testing.T) {
 // HTTP, watch the JSONL frames to the final one, resume with ?from,
 // and read back the listed state.
 func TestStreamHTTPWatch(t *testing.T) {
-	svc := New(Config{Workers: 1})
-	d := NewDaemon(svc, false)
+	d, err := NewDaemon(DaemonConfig{Service: Config{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer d.Stop()
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
@@ -187,7 +197,10 @@ func TestStreamHTTPWatch(t *testing.T) {
 // must already be final when the watcher reads it, so the watch ends
 // on it rather than on a synthesized extra frame.
 func TestStreamWatchEndsOnBudgetFrame(t *testing.T) {
-	d := NewDaemon(New(Config{Workers: 1}), false)
+	d, err := NewDaemon(DaemonConfig{Service: Config{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer d.Stop()
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()

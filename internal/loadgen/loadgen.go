@@ -1,4 +1,6 @@
-// Closed-loop load generation against a live daemon.
+// Package loadgen is the HTTP client side of approxd's benchmarks:
+// closed-loop load generation against a live daemon, plus the submit
+// and stream-watch helpers it is built from.
 //
 // The original approxctl loadgen was open-loop: it fired every trace
 // job from its own goroutine and then polled them all, which measures
@@ -14,7 +16,7 @@
 // daemon process from outside, where real seconds are the unit — the
 // virtual clock belongs to the engines on the other side of the HTTP
 // boundary.
-package jobserver
+package loadgen
 
 import (
 	"bufio"
@@ -28,11 +30,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"approxhadoop/internal/jobserver"
 	"approxhadoop/internal/wire"
 )
 
-// LoadConfig configures one closed-loop run.
-type LoadConfig struct {
+// Config configures one closed-loop run.
+type Config struct {
 	// Base is the daemon's base URL (e.g. "http://127.0.0.1:7070").
 	Base string
 	// Clients is the closed-loop concurrency (default 4).
@@ -56,8 +59,8 @@ type LoadConfig struct {
 	Timeout time.Duration
 }
 
-// LoadReport is the closed-loop run's measurement.
-type LoadReport struct {
+// Report is the closed-loop run's measurement.
+type Report struct {
 	Ops      int     `json:"ops"`      // ops completed successfully
 	Errors   int     `json:"errors"`   // ops abandoned (transport/timeout)
 	Rejected int     `json:"rejected"` // 429/503 bounces absorbed by retry
@@ -81,31 +84,10 @@ type LoadReport struct {
 	StreamBytes int64 `json:"streamBytes,omitempty"`
 }
 
-// LoadSpec is the op'th generated job: small (so the loop turns over
-// quickly), deterministic in (seed, op), and tenant-labeled so a
-// sharded daemon spreads the load by placement key.
-func LoadSpec(seed int64, op, tenants int) JobSpec {
-	if tenants <= 0 {
-		tenants = 8
-	}
-	apps := Apps()
-	spec := JobSpec{
-		Name:          fmt.Sprintf("load-%04d", op),
-		App:           apps[op%len(apps)],
-		Blocks:        12,
-		LinesPerBlock: 80,
-		Seed:          seed*1009 + int64(op),
-		Tenant:        fmt.Sprintf("tenant-%02d", op%tenants),
-		Controller:    "static",
-		SampleRatio:   0.25,
-	}
-	return spec
-}
-
 // RunClosedLoop drives cfg.Clients concurrent closed loops until
 // cfg.Ops jobs have been pulled through the daemon, and reports
 // latency percentiles and sustained QPS.
-func RunClosedLoop(cfg LoadConfig) LoadReport {
+func RunClosedLoop(cfg Config) Report {
 	if cfg.Clients <= 0 {
 		cfg.Clients = 4
 	}
@@ -136,10 +118,10 @@ func RunClosedLoop(cfg LoadConfig) LoadReport {
 				if op >= cfg.Ops {
 					return
 				}
-				spec := LoadSpec(cfg.Seed, op, cfg.Tenants)
+				spec := jobserver.LoadSpec(cfg.Seed, op, cfg.Tenants)
 				deadline := time.Now().Add(cfg.Timeout)
 				t0 := time.Now()
-				id, rejects, err := submitWithRetry(cfg.Base, spec, deadline)
+				id, rejects, err := Submit(cfg.Base, spec, deadline)
 				cs.rejected += rejects
 				if err != nil {
 					cs.errors++
@@ -147,7 +129,7 @@ func RunClosedLoop(cfg LoadConfig) LoadReport {
 				}
 				cs.submits = append(cs.submits, msSince(t0))
 				if cfg.Watch {
-					frames, n, werr := watchToTerminal(cfg.Base, id, cfg.Binary, deadline)
+					frames, n, werr := Watch(cfg.Base, id, cfg.Binary, deadline)
 					cs.frames += frames
 					cs.bytes += n
 					err = werr
@@ -166,7 +148,7 @@ func RunClosedLoop(cfg LoadConfig) LoadReport {
 	wg.Wait()
 	wall := time.Since(start).Seconds()
 
-	rep := LoadReport{Clients: cfg.Clients, WallSecs: wall}
+	rep := Report{Clients: cfg.Clients, WallSecs: wall}
 	var submits, completes []float64
 	for i := range perClient {
 		cs := &perClient[i]
@@ -208,10 +190,10 @@ func percentiles(samples []float64) (p50, p95, p99, max float64) {
 	return rank(0.50), rank(0.95), rank(0.99), s[len(s)-1]
 }
 
-// submitWithRetry POSTs one spec, absorbing backpressure (429/503)
-// with short sleeps until the deadline. Returns the job id and how
-// many bounces were absorbed.
-func submitWithRetry(base string, spec JobSpec, deadline time.Time) (string, int, error) {
+// Submit POSTs one spec, absorbing backpressure (429/503) with short
+// sleeps until the deadline. Returns the job id and how many bounces
+// were absorbed.
+func Submit(base string, spec jobserver.JobSpec, deadline time.Time) (string, int, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return "", 0, err
@@ -226,14 +208,14 @@ func submitWithRetry(base string, spec JobSpec, deadline time.Time) (string, int
 			discard(resp)
 			rejects++
 			if time.Now().After(deadline) {
-				return "", rejects, fmt.Errorf("jobserver: submit %s still bouncing (HTTP %d) at deadline", spec.Name, resp.StatusCode)
+				return "", rejects, fmt.Errorf("loadgen: submit %s still bouncing (HTTP %d) at deadline", spec.Name, resp.StatusCode)
 			}
 			time.Sleep(5 * time.Millisecond)
 			continue
 		}
 		if resp.StatusCode != http.StatusOK {
 			discard(resp)
-			return "", rejects, fmt.Errorf("jobserver: submit %s: HTTP %d", spec.Name, resp.StatusCode)
+			return "", rejects, fmt.Errorf("loadgen: submit %s: HTTP %d", spec.Name, resp.StatusCode)
 		}
 		var out struct {
 			ID string `json:"id"`
@@ -254,7 +236,7 @@ func pollTerminal(base, id string, deadline time.Time) error {
 		if err != nil {
 			return err
 		}
-		var st WireState
+		var st jobserver.WireState
 		err = json.NewDecoder(resp.Body).Decode(&st)
 		discard(resp)
 		if err != nil {
@@ -264,15 +246,15 @@ func pollTerminal(base, id string, deadline time.Time) error {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("jobserver: job %s still %s at deadline", id, st.Status)
+			return fmt.Errorf("loadgen: job %s still %s at deadline", id, st.Status)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 }
 
-// watchToTerminal follows a job's stream (JSONL or binary) to its
-// terminal frame, returning the frame count and bytes read.
-func watchToTerminal(base, id string, binary bool, deadline time.Time) (int, int64, error) {
+// Watch follows a job's stream (JSONL or binary) to its terminal
+// frame, returning the frame count and bytes read.
+func Watch(base, id string, binary bool, deadline time.Time) (int, int64, error) {
 	req, err := http.NewRequest(http.MethodGet, base+"/v1/jobs/"+id+"/stream", nil)
 	if err != nil {
 		return 0, 0, err
@@ -286,7 +268,7 @@ func watchToTerminal(base, id string, binary bool, deadline time.Time) (int, int
 	}
 	defer discard(resp)
 	if resp.StatusCode != http.StatusOK {
-		return 0, 0, fmt.Errorf("jobserver: stream %s: HTTP %d", id, resp.StatusCode)
+		return 0, 0, fmt.Errorf("loadgen: stream %s: HTTP %d", id, resp.StatusCode)
 	}
 	counted := &countReader{r: resp.Body}
 	frames := 0
@@ -295,7 +277,7 @@ func watchToTerminal(base, id string, binary bool, deadline time.Time) (int, int
 		for {
 			payload, err := wire.ReadFrame(br)
 			if err == io.EOF {
-				return frames, counted.n, fmt.Errorf("jobserver: stream %s ended before a terminal frame", id)
+				return frames, counted.n, fmt.Errorf("loadgen: stream %s ended before a terminal frame", id)
 			}
 			if err != nil {
 				return frames, counted.n, err
@@ -305,18 +287,18 @@ func watchToTerminal(base, id string, binary bool, deadline time.Time) (int, int
 				return frames, counted.n, err
 			}
 			frames++
-			if JobStatus(f.Status).Terminal() {
+			if jobserver.JobStatus(f.Status).Terminal() {
 				return frames, counted.n, nil
 			}
 			if time.Now().After(deadline) {
-				return frames, counted.n, fmt.Errorf("jobserver: stream %s still open at deadline", id)
+				return frames, counted.n, fmt.Errorf("loadgen: stream %s still open at deadline", id)
 			}
 		}
 	}
 	sc := bufio.NewScanner(counted)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
 	for sc.Scan() {
-		var f WireFrame
+		var f jobserver.WireFrame
 		if err := json.Unmarshal(sc.Bytes(), &f); err != nil {
 			return frames, counted.n, err
 		}
@@ -325,13 +307,13 @@ func watchToTerminal(base, id string, binary bool, deadline time.Time) (int, int
 			return frames, counted.n, nil
 		}
 		if time.Now().After(deadline) {
-			return frames, counted.n, fmt.Errorf("jobserver: stream %s still open at deadline", id)
+			return frames, counted.n, fmt.Errorf("loadgen: stream %s still open at deadline", id)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return frames, counted.n, err
 	}
-	return frames, counted.n, fmt.Errorf("jobserver: stream %s ended before a terminal frame", id)
+	return frames, counted.n, fmt.Errorf("loadgen: stream %s ended before a terminal frame", id)
 }
 
 // countReader counts bytes as they pass through.
