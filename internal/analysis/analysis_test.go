@@ -24,9 +24,10 @@ type fixtureDep struct{ dir, path string }
 // fixtureCases maps each testdata/src directory to the import path its
 // package poses as. virtualclock only fires inside simulator packages,
 // so that fixture borrows a simulator path; the lockheld fixture poses
-// as the job service for the same reason. The purity fixture spans two
-// packages: the violation lives in the dep package, where the
-// intra-package sharedstate closure provably cannot see it.
+// as the job service for the same reason. The compute and purity
+// fixtures are both purity cases: compute holds the in-package
+// scheduler-plane touches, and purity spans two packages, with the
+// violation in the dep package, one import away from the root.
 var fixtureCases = []struct {
 	dir, path string
 	deps      []fixtureDep
@@ -37,7 +38,7 @@ var fixtureCases = []struct {
 	{dir: "nopanic", path: "example.test/lib"},
 	{dir: "errcheck", path: "example.test/errs"},
 	{dir: "ignore", path: "example.test/ignored"},
-	{dir: "sharedstate", path: "example.test/compute"},
+	{dir: "compute", path: "example.test/compute"},
 	{dir: "purity", path: "example.test/purity",
 		deps: []fixtureDep{{dir: "purity/dep", path: "example.test/purity/dep"}}},
 	{dir: "hotpath", path: "example.test/hot"},

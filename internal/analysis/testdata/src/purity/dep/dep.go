@@ -1,7 +1,7 @@
 // Package dep sits one package away from the compute root in the
-// purity fixture: the intra-package sharedstate closure stops at the
-// import boundary, so the violation below is only reachable through
-// the whole-program call graph.
+// purity fixture: an intra-package closure would stop at the import
+// boundary, so the violation below is only reachable through the
+// whole-program call graph.
 package dep
 
 // Calls counts invocations — shared mutable state that makes results

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 	"testing"
 
 	"approxhadoop/internal/cluster"
@@ -84,15 +85,8 @@ func TestSamplingReaderCounts(t *testing.T) {
 	}
 	defer rr.Close()
 	n := 0
-	for {
-		_, ok, err := rr.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		n++
+	if err := rr.Push(func(mapreduce.Record) { n++ }); err != nil {
+		t.Fatal(err)
 	}
 	m := rr.Measure()
 	if m.Items != 1000 {
@@ -115,12 +109,8 @@ func TestSamplingReaderDeterministic(t *testing.T) {
 		rr, _ := ApproxTextInput{}.Open(f.Blocks[0], 0.5, 7)
 		defer rr.Close()
 		var keys []string
-		for {
-			rec, ok, _ := rr.Next()
-			if !ok {
-				break
-			}
-			keys = append(keys, rec.Key)
+		if err := rr.Push(func(rec mapreduce.Record) { keys = append(keys, strings.Clone(rec.Key)) }); err != nil {
+			t.Fatal(err)
 		}
 		return keys
 	}
@@ -140,12 +130,8 @@ func TestSamplingRatioOneIsExhaustive(t *testing.T) {
 	rr, _ := ApproxTextInput{}.Open(f.Blocks[0], 1.0, 7)
 	defer rr.Close()
 	n := 0
-	for {
-		_, ok, _ := rr.Next()
-		if !ok {
-			break
-		}
-		n++
+	if err := rr.Push(func(mapreduce.Record) { n++ }); err != nil {
+		t.Fatal(err)
 	}
 	if n != 100 {
 		t.Errorf("ratio 1 returned %d of 100", n)
@@ -327,9 +313,8 @@ func TestMultiStageMeanOp(t *testing.T) {
 	r := NewMultiStageReducer(OpMean)
 	view := mapreduce.EstimateView{TotalMaps: 2, Consumed: 2, Confidence: 0.95}
 	for task := 0; task < 2; task++ {
-		out := &mapreduce.MapOutput{TaskID: task, Items: 4, Sampled: 4,
-			Pairs: []mapreduce.KV{{Key: "k", Value: 2}, {Key: "k", Value: 2},
-				{Key: "k", Value: 4}, {Key: "k", Value: 4}}}
+		out := mapreduce.NewPairsOutput(task, 4, 4, []mapreduce.KV{{Key: "k", Value: 2}, {Key: "k", Value: 2},
+			{Key: "k", Value: 4}, {Key: "k", Value: 4}})
 		r.Consume(out)
 	}
 	out := r.Finalize(view)
@@ -352,8 +337,7 @@ func TestPlanComponentsAndPrediction(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			rs.Add(float64(1 + (task+i)%3))
 		}
-		r.Consume(&mapreduce.MapOutput{TaskID: task, Items: 100, Sampled: 50,
-			Combined: map[string]stats.RunningStat{"k": rs}})
+		r.Consume(mapreduce.NewCombinedOutput(task, 100, 50, map[string]stats.RunningStat{"k": rs}))
 	}
 	comps := r.PlanComponents(view)
 	if len(comps) != 1 {
@@ -382,8 +366,7 @@ func TestGEVReducerExactWhenComplete(t *testing.T) {
 	r := NewMinReducer()
 	view := mapreduce.EstimateView{TotalMaps: 3, Consumed: 3, Confidence: 0.95}
 	for task := 0; task < 3; task++ {
-		r.Consume(&mapreduce.MapOutput{TaskID: task, Items: 1, Sampled: 1,
-			Pairs: []mapreduce.KV{{Key: "min", Value: float64(10 - task)}}})
+		r.Consume(mapreduce.NewPairsOutput(task, 1, 1, []mapreduce.KV{{Key: "min", Value: float64(10 - task)}}))
 	}
 	out := r.Finalize(view)
 	if len(out) != 1 || !stats.AlmostEqual(out[0].Est.Value, 8, 1e-9) || !out[0].Exact {
@@ -402,8 +385,7 @@ func TestGEVReducerBoundsWithDrops(t *testing.T) {
 		if v < obs {
 			obs = v
 		}
-		r.Consume(&mapreduce.MapOutput{TaskID: task, Items: 1, Sampled: 1,
-			Pairs: []mapreduce.KV{{Key: "min", Value: v}}})
+		r.Consume(mapreduce.NewPairsOutput(task, 1, 1, []mapreduce.KV{{Key: "min", Value: v}}))
 	}
 	out := r.Finalize(view)
 	if len(out) != 1 {
@@ -431,8 +413,7 @@ func TestGEVReducerTooFewSamples(t *testing.T) {
 	r := NewMinReducer()
 	view := mapreduce.EstimateView{TotalMaps: 10, Consumed: 3, Dropped: 7, Confidence: 0.95}
 	for task := 0; task < 3; task++ {
-		r.Consume(&mapreduce.MapOutput{TaskID: task, Items: 1, Sampled: 1,
-			Pairs: []mapreduce.KV{{Key: "min", Value: float64(task)}}})
+		r.Consume(mapreduce.NewPairsOutput(task, 1, 1, []mapreduce.KV{{Key: "min", Value: float64(task)}}))
 	}
 	out := r.Finalize(view)
 	if !math.IsInf(out[0].Est.Err, 1) {
@@ -443,8 +424,7 @@ func TestGEVReducerTooFewSamples(t *testing.T) {
 func TestGEVReducerCombinerMisuse(t *testing.T) {
 	r := NewMinReducer()
 	view := mapreduce.EstimateView{TotalMaps: 2, Consumed: 1, Confidence: 0.95}
-	r.Consume(&mapreduce.MapOutput{TaskID: 0, Items: 1, Sampled: 1,
-		Combined: map[string]stats.RunningStat{"min": {Count: 1, Sum: 5, SumSq: 25}}})
+	r.Consume(mapreduce.NewCombinedOutput(0, 1, 1, map[string]stats.RunningStat{"min": {Count: 1, Sum: 5, SumSq: 25}}))
 	out := r.Finalize(view)
 	if len(out) != 0 {
 		// No raw values recorded; nothing to report.
@@ -460,7 +440,7 @@ func TestGEVReducerBlockTransform(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		pairs = append(pairs, mapreduce.KV{Key: "m", Value: 50 + rng.NormFloat64()*10})
 	}
-	r.Consume(&mapreduce.MapOutput{TaskID: 0, Items: 500, Sampled: 500, Pairs: pairs})
+	r.Consume(mapreduce.NewPairsOutput(0, 500, 500, pairs))
 	out := r.Finalize(view)
 	if len(out) != 1 || math.IsInf(out[0].Est.Err, 1) || out[0].Est.Err < 0 {
 		t.Errorf("block-transformed fit failed: %+v", out)

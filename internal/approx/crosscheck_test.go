@@ -28,10 +28,7 @@ func TestReducerMatchesTwoStageTheory(t *testing.T) {
 					rs.Add(rng.Float64() * 10)
 				}
 			}
-			r.Consume(&mapreduce.MapOutput{
-				TaskID: task, Items: M, Sampled: m,
-				Combined: map[string]stats.RunningStat{"k": rs},
-			})
+			r.Consume(mapreduce.NewCombinedOutput(task, M, m, map[string]stats.RunningStat{"k": rs}))
 			ref.Clusters = append(ref.Clusters, stats.ClusterSample{M: M, Sam: m, Stat: rs})
 		}
 		got := r.Finalize(view)

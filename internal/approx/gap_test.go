@@ -21,8 +21,7 @@ func TestMaxReducerEndToEnd(t *testing.T) {
 		if v > obs {
 			obs = v
 		}
-		r.Consume(&mapreduce.MapOutput{TaskID: task, Items: 1, Sampled: 1,
-			Pairs: []mapreduce.KV{{Key: "max", Value: v}}})
+		r.Consume(mapreduce.NewPairsOutput(task, 1, 1, []mapreduce.KV{{Key: "max", Value: v}}))
 	}
 	out := r.Finalize(view)
 	if len(out) != 1 || !stats.AlmostEqual(out[0].Est.Value, obs, 1e-12) {

@@ -11,12 +11,7 @@ import (
 // feedClusters pushes n clusters of synthetic per-key stats into r.
 func feedClusters(r *MultiStageReducer, n int, items, sampled int64, keysPerCluster func(task int) map[string]stats.RunningStat) {
 	for task := 0; task < n; task++ {
-		r.Consume(&mapreduce.MapOutput{
-			TaskID:   task,
-			Items:    items,
-			Sampled:  sampled,
-			Combined: keysPerCluster(task),
-		})
+		r.Consume(mapreduce.NewCombinedOutput(task, items, sampled, keysPerCluster(task)))
 	}
 }
 
@@ -110,7 +105,7 @@ func TestDistinctKeysChao(t *testing.T) {
 			rs.Add(1)
 			combined[key] = rs
 		}
-		r.Consume(&mapreduce.MapOutput{TaskID: task, Items: 500, Sampled: 120, Combined: combined})
+		r.Consume(mapreduce.NewCombinedOutput(task, 500, 120, combined))
 	}
 	est := r.DistinctKeys(view)
 	observed := float64(len(r.keys))
@@ -168,10 +163,8 @@ func TestThreeStageReducerMeanOverPairs(t *testing.T) {
 	for i := 0; i < 10; i++ { // 10 units x 1 pair of value 8
 		b.Add(8)
 	}
-	r.Consume(&mapreduce.MapOutput{TaskID: 0, Items: 10, Sampled: 10,
-		Combined: map[string]stats.RunningStat{"m": a}})
-	r.Consume(&mapreduce.MapOutput{TaskID: 1, Items: 10, Sampled: 10,
-		Combined: map[string]stats.RunningStat{"m": b}})
+	r.Consume(mapreduce.NewCombinedOutput(0, 10, 10, map[string]stats.RunningStat{"m": a}))
+	r.Consume(mapreduce.NewCombinedOutput(1, 10, 10, map[string]stats.RunningStat{"m": b}))
 	out := r.Finalize(view)
 	if len(out) != 1 {
 		t.Fatalf("outputs = %d", len(out))
@@ -187,10 +180,8 @@ func TestThreeStageReducerMeanOverPairs(t *testing.T) {
 func TestThreeStageReducerRawPairsAndEstimates(t *testing.T) {
 	r := NewThreeStageReducer()
 	view := mapreduce.EstimateView{TotalMaps: 4, Consumed: 2, Dropped: 0, Confidence: 0.95}
-	r.Consume(&mapreduce.MapOutput{TaskID: 0, Items: 5, Sampled: 3,
-		Pairs: []mapreduce.KV{{Key: "m", Value: 1}, {Key: "m", Value: 3}}})
-	r.Consume(&mapreduce.MapOutput{TaskID: 1, Items: 5, Sampled: 3,
-		Pairs: []mapreduce.KV{{Key: "m", Value: 2}}})
+	r.Consume(mapreduce.NewPairsOutput(0, 5, 3, []mapreduce.KV{{Key: "m", Value: 1}, {Key: "m", Value: 3}}))
+	r.Consume(mapreduce.NewPairsOutput(1, 5, 3, []mapreduce.KV{{Key: "m", Value: 2}}))
 	out := r.Estimates(view)
 	if len(out) != 1 || out[0].Exact {
 		t.Fatalf("estimates = %+v", out)

@@ -23,7 +23,7 @@ func genOutputs(seed int64, clusters int) []*mapreduce.MapOutput {
 				pairs = append(pairs, mapreduce.KV{Key: key, Value: rng.Float64() * 10})
 			}
 		}
-		outs[i] = &mapreduce.MapOutput{TaskID: i, Items: M, Sampled: m, Pairs: pairs}
+		outs[i] = mapreduce.NewPairsOutput(i, M, m, pairs)
 	}
 	return outs
 }
@@ -31,12 +31,12 @@ func genOutputs(seed int64, clusters int) []*mapreduce.MapOutput {
 // combinedCopy converts a raw output into its combiner-compacted form.
 func combinedCopy(out *mapreduce.MapOutput) *mapreduce.MapOutput {
 	comb := make(map[string]stats.RunningStat)
-	for _, kv := range out.Pairs {
-		rs := comb[kv.Key]
-		rs.Add(kv.Value)
-		comb[kv.Key] = rs
-	}
-	return &mapreduce.MapOutput{TaskID: out.TaskID, Items: out.Items, Sampled: out.Sampled, Combined: comb}
+	out.EachPair(func(key string, value float64) {
+		rs := comb[key]
+		rs.Add(value)
+		comb[key] = rs
+	})
+	return mapreduce.NewCombinedOutput(out.TaskID, out.Items, out.Sampled, comb)
 }
 
 func estimatesEqual(a, b []mapreduce.KeyEstimate, tol float64) bool {
@@ -117,8 +117,7 @@ func TestPropertyMoreDataNeverWidens(t *testing.T) {
 			for j := 0; j < 40; j++ {
 				rs.Add(5 + rng.Float64()) // low-variance values
 			}
-			return &mapreduce.MapOutput{TaskID: task, Items: 80, Sampled: 40,
-				Combined: map[string]stats.RunningStat{"k": rs}}
+			return mapreduce.NewCombinedOutput(task, 80, 40, map[string]stats.RunningStat{"k": rs})
 		}
 		small := NewMultiStageReducer(OpSum)
 		large := NewMultiStageReducer(OpSum)
@@ -150,8 +149,7 @@ func TestPropertyExtremeReducerMonotone(t *testing.T) {
 		obs := math.Inf(1)
 		for task := 0; task < 20; task++ {
 			v := rng.NormFloat64() * 100
-			r.Consume(&mapreduce.MapOutput{TaskID: task, Items: 1, Sampled: 1,
-				Pairs: []mapreduce.KV{{Key: "m", Value: v}}})
+			r.Consume(mapreduce.NewPairsOutput(task, 1, 1, []mapreduce.KV{{Key: "m", Value: v}}))
 			if v < obs {
 				obs = v
 			}

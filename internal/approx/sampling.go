@@ -1,9 +1,7 @@
 package approx
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math/rand"
 	"strconv"
 
@@ -24,9 +22,8 @@ import (
 type ApproxTextInput struct{}
 
 // Open implements mapreduce.InputFormat. Like TextInputFormat, the
-// reader supports pull mode (Next, durable records) and push mode
-// (Push, zero-copy records over the block's line backing); both draw
-// the identical per-line sample decisions from the same seeded RNG.
+// reader pushes zero-copy records over the block's line backing; the
+// per-line sample decisions come from an RNG seeded by seed.
 //
 //approx:compute
 func (ApproxTextInput) Open(b *dfs.Block, sampleRatio float64, seed int64) (mapreduce.RecordReader, error) {
@@ -48,8 +45,6 @@ func (ApproxTextInput) Open(b *dfs.Block, sampleRatio float64, seed int64) (mapr
 type samplingReader struct {
 	block     *dfs.Block
 	keyPrefix string
-	rc        io.ReadCloser // pull mode only, opened lazily
-	scan      *bufio.Scanner
 	ratio     float64
 	rng       *rand.Rand
 	meter     vtime.Meter
@@ -99,53 +94,16 @@ func (r *samplingReader) sampleLine(n int64, units, bytes *int64) bool {
 	return true
 }
 
-// Next scans forward to the next sampled line.
-//
-//approx:compute
-func (r *samplingReader) Next() (mapreduce.Record, bool, error) {
-	if r.scan == nil {
-		r.rc = r.block.Open()
-		r.scan = newLineScanner(r.rc)
-	}
-	r.meter.Begin(vtime.OpRead)
-	var units, bytes int64
-	for r.scan.Scan() {
-		line := r.scan.Text()
-		idx := r.m.Items
-		if !r.sampleLine(int64(len(line)), &units, &bytes) {
-			continue
-		}
-		key := r.key(idx)
-		r.m.ReadSecs += r.meter.End(vtime.OpRead, units, bytes)
-		return mapreduce.Record{Key: string(key), Value: line}, true, nil
-	}
-	r.m.ReadSecs += r.meter.End(vtime.OpRead, units, bytes)
-	if err := r.scan.Err(); err != nil {
-		return mapreduce.Record{}, false, fmt.Errorf("approx: reading %s: %w", r.keyPrefix, err)
-	}
-	return mapreduce.Record{}, false, nil
-}
-
-// newLineScanner builds a scanner with a generous line-length cap.
-func newLineScanner(rd io.Reader) *bufio.Scanner {
-	s := bufio.NewScanner(rd)
-	s.Buffer(make([]byte, 64<<10), 16<<20)
-	return s
-}
-
-// Push implements mapreduce.RecordPusher over the block's line backing.
-// The meter call sequence replicates the Next loop exactly: one
-// Begin(OpRead) per sampled-record segment, with skipped lines'
-// units/bytes accumulating into the segment's End — so virtual timings
-// are bit-identical across modes. Record Key/Value are views of
-// reusable buffers, valid only inside fn.
+// Push implements mapreduce.RecordReader over the block's line backing.
+// Reads are metered as one Begin/End(OpRead) bracket per sampled-record
+// segment: skipped lines' units and bytes accumulate into the End of
+// the segment that ends at the next sampled line (or at the block's
+// end). Record Key/Value are views of reusable buffers, valid only
+// inside fn.
 //
 //approx:compute
 //approx:hotpath
-func (r *samplingReader) Push(fn func(rec mapreduce.Record)) (bool, error) {
-	if !r.block.CanYieldLines() {
-		return false, nil
-	}
+func (r *samplingReader) Push(fn func(rec mapreduce.Record)) error {
 	var carry []byte
 	if r.bufs != nil {
 		carry = r.bufs.Get(256)
@@ -170,9 +128,9 @@ func (r *samplingReader) Push(fn func(rec mapreduce.Record)) (bool, error) {
 	r.m.ReadSecs += r.meter.End(vtime.OpRead, units, bytes)
 	if err != nil {
 		//lint:ignore hotpath error path, taken at most once per block
-		return true, fmt.Errorf("approx: reading %s: %w", r.keyPrefix, err)
+		return fmt.Errorf("approx: reading %s: %w", r.keyPrefix, err)
 	}
-	return true, nil
+	return nil
 }
 
 func (r *samplingReader) Measure() mapreduce.ReaderMeasure { return r.m }
@@ -182,9 +140,6 @@ func (r *samplingReader) Close() error {
 	if r.bufs != nil && r.keyBuf != nil {
 		r.bufs.Put(r.keyBuf)
 		r.keyBuf = nil
-	}
-	if r.rc != nil {
-		return r.rc.Close()
 	}
 	return nil
 }

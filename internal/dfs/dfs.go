@@ -46,26 +46,37 @@ type Block struct {
 	lines func(carry []byte, fn func(line []byte) error) ([]byte, error)
 }
 
-// Open returns a reader over the block's raw bytes.
+// Open returns a reader over the block's raw bytes. A block built
+// without a backing (a hand-made Block literal) returns a reader whose
+// Read fails with an error naming the block.
 func (b *Block) Open() io.ReadCloser {
+	if b.open == nil {
+		return noBacking{b.ID()}
+	}
 	return b.open()
 }
 
-// CanYieldLines reports whether the block supports the record-yielding
-// fast path (Lines).
-func (b *Block) CanYieldLines() bool { return b.lines != nil }
+// noBacking is the reader of a block without a byte backing.
+type noBacking struct{ id string }
 
-// Lines is the record-yielding fast path: it drives fn once per line of
-// the block, in order, without materializing the block through an
-// Open reader (no pipe, no goroutine, no scanner copy). The yielded
+func (n noBacking) Read([]byte) (int, error) {
+	return 0, fmt.Errorf("dfs: block %s has no byte backing", n.id)
+}
+
+func (noBacking) Close() error { return nil }
+
+// Lines is the record path map tasks read through: it drives fn once
+// per line of the block, in order, without materializing the block
+// through an Open reader (no pipe, no goroutine, no scanner copy). The yielded
 // slice has the trailing newline (and any preceding carriage return)
 // stripped, exactly like bufio.ScanLines, and is only valid for the
 // duration of the fn call — consumers that retain a line must copy it.
 //
 // carry, when non-nil, seeds the internal partial-line buffer so an
 // attempt-owned free list can recycle it across blocks; the (possibly
-// grown) buffer is returned for reuse. Blocks without a line backing
-// return ErrNoLineBacking; callers fall back to Open.
+// grown) buffer is returned for reuse. Every constructor in this
+// package sets a line backing; a hand-made Block literal has none and
+// returns ErrNoLineBacking.
 func (b *Block) Lines(carry []byte, fn func(line []byte) error) ([]byte, error) {
 	if b.lines == nil {
 		return carry, ErrNoLineBacking
@@ -73,8 +84,8 @@ func (b *Block) Lines(carry []byte, fn func(line []byte) error) ([]byte, error) 
 	return b.lines(carry, fn)
 }
 
-// ErrNoLineBacking is returned by Lines for blocks that only support
-// byte-stream reading through Open.
+// ErrNoLineBacking is returned by Lines for blocks built without a
+// line backing.
 var ErrNoLineBacking = fmt.Errorf("dfs: block has no line-yielding backing")
 
 // dropCR strips one trailing carriage return, mirroring bufio.ScanLines

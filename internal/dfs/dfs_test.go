@@ -218,8 +218,8 @@ func TestReplicaLiveness(t *testing.T) {
 	}
 }
 
-// scanLines reads a block through Open + bufio.ScanLines, the legacy
-// pull path's exact record tokenization.
+// scanLines reads a block through Open + bufio.ScanLines, the reference
+// record tokenization Lines must reproduce.
 func scanLines(t *testing.T, b *Block) []string {
 	t.Helper()
 	rc := b.Open()
@@ -267,9 +267,6 @@ func TestLinesMatchesScannerByteBlocks(t *testing.T) {
 	}
 	for i, content := range cases {
 		b := NewByteBlock("t.txt", i, []byte(content), 0)
-		if !b.CanYieldLines() {
-			t.Fatalf("case %d: byte block must support line yielding", i)
-		}
 		want := scanLines(t, b)
 		got := yieldLines(t, b, nil)
 		if len(got) != len(want) {
@@ -310,9 +307,6 @@ func TestLinesMatchesScannerGeneratedBlocks(t *testing.T) {
 		return nil
 	}
 	b := NewGeneratedBlock("gen.txt", 3, 42, 0, 500, gen)
-	if !b.CanYieldLines() {
-		t.Fatal("generated block must support line yielding")
-	}
 	want := scanLines(t, b)
 	// Seed the carry with a recycled dirty buffer: reuse must not leak
 	// stale bytes into yielded lines.
@@ -328,13 +322,18 @@ func TestLinesMatchesScannerGeneratedBlocks(t *testing.T) {
 	}
 }
 
-// TestLinesNoBacking checks the explicit fallback contract.
+// TestLinesNoBacking checks that a hand-made block without a backing
+// fails with errors on both read paths instead of a nil func call.
 func TestLinesNoBacking(t *testing.T) {
 	b := &Block{FileName: "opaque", Index: 0}
-	if b.CanYieldLines() {
-		t.Fatal("blocks without a line backing must report CanYieldLines false")
-	}
 	if _, err := b.Lines(nil, func([]byte) error { return nil }); err != ErrNoLineBacking {
 		t.Fatalf("Lines on opaque block returned %v, want ErrNoLineBacking", err)
+	}
+	rc := b.Open()
+	if _, err := rc.Read(make([]byte, 8)); err == nil || !strings.Contains(err.Error(), "opaque#0") {
+		t.Fatalf("Open on opaque block read error %v, want one naming the block", err)
+	}
+	if err := rc.Close(); err != nil {
+		t.Fatalf("Close on opaque block reader: %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -87,7 +86,7 @@ func BenchmarkMapEmitterHinted(b *testing.B) {
 	const pairs = 4096
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e := newMapEmitter(8, false, false, vtime.NewDeterministic(), pairs)
+		e := newMapEmitter(8, false, vtime.NewDeterministic(), pairs)
 		benchEmit(e, pairs)
 	}
 }
@@ -99,7 +98,7 @@ func BenchmarkMapEmitterUnhinted(b *testing.B) {
 	const pairs = 4096
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e := newMapEmitter(8, false, false, vtime.NewDeterministic(), 0)
+		e := newMapEmitter(8, false, vtime.NewDeterministic(), 0)
 		benchEmit(e, pairs)
 	}
 }
@@ -110,18 +109,7 @@ func BenchmarkMapEmitterCombined(b *testing.B) {
 	const pairs = 4096
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e := newMapEmitter(8, true, false, vtime.NewDeterministic(), pairs)
-		benchEmit(e, pairs)
-	}
-}
-
-// BenchmarkMapEmitterLegacy is the pre-interning string-keyed emitter
-// (Job.LegacyDataPlane), kept as the A/B reference for the arena path.
-func BenchmarkMapEmitterLegacy(b *testing.B) {
-	const pairs = 4096
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e := newMapEmitter(8, false, true, vtime.NewDeterministic(), pairs)
+		e := newMapEmitter(8, true, vtime.NewDeterministic(), pairs)
 		benchEmit(e, pairs)
 	}
 }
@@ -163,24 +151,17 @@ func TestMapEmitterHintedAllocs(t *testing.T) {
 			e.Emit(keys[i%reduces], 1)
 		}
 	}
-	// Legacy path: emitter struct + partition header slice + one backing
-	// array, plus one of slack for runtime accounting noise.
-	legacy := testing.AllocsPerRun(20, func() {
-		emitAll(newMapEmitter(reduces, false, true, meter, pairs))
-	})
-	if legacy > 4 {
-		t.Errorf("legacy hinted emit path allocates %.0f times per attempt, want <= 4 (preallocation regressed)", legacy)
-	}
-	// Arena path adds the interner's fixed-size state (id map, dense
-	// key/partition slices, one arena chunk) but still nothing per emit.
+	// Emitter struct, partition header slice and one backing array, plus
+	// the interner's fixed-size state (id map, dense key/partition
+	// slices, one arena chunk), but nothing per emit.
 	hinted := testing.AllocsPerRun(20, func() {
-		emitAll(newMapEmitter(reduces, false, false, meter, pairs))
+		emitAll(newMapEmitter(reduces, false, meter, pairs))
 	})
 	if hinted > 12 {
 		t.Errorf("arena hinted emit path allocates %.0f times per attempt, want <= 12 (preallocation regressed)", hinted)
 	}
 	unhinted := testing.AllocsPerRun(20, func() {
-		emitAll(newMapEmitter(reduces, false, false, meter, 0))
+		emitAll(newMapEmitter(reduces, false, meter, 0))
 	})
 	if hinted >= unhinted {
 		t.Errorf("hinted path allocates %.0f times vs %.0f unhinted; hint should eliminate append growth", hinted, unhinted)
@@ -205,13 +186,13 @@ func shuffleKeys(n int) []string {
 	return keys
 }
 
-// shuffleRound runs one map attempt's worth of shuffle end to end in
-// the chosen representation: emit a fixed pair stream, materialize the
-// per-partition MapOutputs exactly like executeMap, and drain every
-// partition through EachPair the way a reducer does. Returns the value
-// sum as a cheap output check.
-func shuffleRound(legacy bool, keys []string, reduces, pairs int) float64 {
-	e := newMapEmitter(reduces, false, legacy, vtime.NewDeterministic(), pairs)
+// shuffleRound runs one map attempt's worth of shuffle end to end:
+// emit a fixed pair stream, materialize the per-partition MapOutputs
+// exactly like executeMap, and drain every partition through EachPair
+// the way a reducer does. Returns the value sum as a cheap output
+// check.
+func shuffleRound(keys []string, reduces, pairs int) float64 {
+	e := newMapEmitter(reduces, false, vtime.NewDeterministic(), pairs)
 	for i := 0; i < pairs; i++ {
 		e.Emit(keys[i%len(keys)], float64(i))
 	}
@@ -220,12 +201,8 @@ func shuffleRound(legacy bool, keys []string, reduces, pairs int) float64 {
 	add := func(_ string, v float64) { sum += v }
 	for p := 0; p < reduces; p++ {
 		out := &outs[p]
-		if legacy {
-			out.Pairs = e.raw[p]
-		} else {
-			out.keys = e.intern
-			out.run = e.runs[p]
-		}
+		out.keys = e.intern
+		out.run = e.runs[p]
 		out.EachPair(add)
 	}
 	return sum
@@ -238,17 +215,7 @@ func BenchmarkShuffleArena(b *testing.B) {
 	keys := shuffleKeys(64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		shuffleRound(false, keys, 4, 8192)
-	}
-}
-
-// BenchmarkShuffleLegacy measures the old string-keyed shuffle for the
-// same pair stream.
-func BenchmarkShuffleLegacy(b *testing.B) {
-	keys := shuffleKeys(64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		shuffleRound(true, keys, 4, 8192)
+		shuffleRound(keys, 4, 8192)
 	}
 }
 
@@ -264,24 +231,11 @@ const arenaShuffleAllocBaseline = 40
 func TestShuffleArenaAllocGuard(t *testing.T) {
 	keys := shuffleKeys(64)
 	allocs := testing.AllocsPerRun(10, func() {
-		shuffleRound(false, keys, 4, 8192)
+		shuffleRound(keys, 4, 8192)
 	})
 	if allocs > arenaShuffleAllocBaseline*1.15 {
 		t.Errorf("arena shuffle allocates %.0f times per attempt, more than 1.15x the recorded baseline %d",
 			allocs, arenaShuffleAllocBaseline)
-	}
-}
-
-// TestShuffleEquivalence cross-checks the two shuffle representations
-// on the same pair stream: identical pair counts and value sums.
-func TestShuffleEquivalence(t *testing.T) {
-	keys := shuffleKeys(64)
-	arena := shuffleRound(false, keys, 4, 8192)
-	legacy := shuffleRound(true, keys, 4, 8192)
-	// Bit-level comparison: both paths must perform the identical float
-	// additions in the identical order.
-	if math.Float64bits(arena) != math.Float64bits(legacy) {
-		t.Errorf("arena shuffle drained sum %v, legacy %v", arena, legacy)
 	}
 }
 
@@ -295,14 +249,8 @@ func BenchmarkTextReader(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for {
-			_, ok, err := rr.Next()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !ok {
-				break
-			}
+		if err := rr.Push(func(Record) {}); err != nil {
+			b.Fatal(err)
 		}
 		rr.Close()
 	}

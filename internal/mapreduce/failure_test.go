@@ -1,12 +1,33 @@
 package mapreduce
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"approxhadoop/internal/cluster"
+	"approxhadoop/internal/dfs"
 	"approxhadoop/internal/stats"
 )
+
+// TestHandBuiltBlockFails runs a job over a Block literal with no
+// backing: the map read must fail the job with dfs.ErrNoLineBacking
+// rather than dereference a nil read func on a pool goroutine.
+func TestHandBuiltBlockFails(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		job := &Job{
+			Name:      "hand-built",
+			Input:     &dfs.File{Name: "x", Blocks: []*dfs.Block{{FileName: "x"}}},
+			NewMapper: wordCountMapper,
+			NewReduce: func(int) ReduceLogic { return SumReduce() },
+			Reduces:   1,
+			Workers:   workers,
+		}
+		if _, err := Run(testEngine(), job); !errors.Is(err, dfs.ErrNoLineBacking) {
+			t.Errorf("workers=%d: Run over a hand-built block returned %v, want dfs.ErrNoLineBacking", workers, err)
+		}
+	}
+}
 
 // TestMapTaskReexecutionOnServerFailure fail-stops a server mid-job
 // and verifies its map tasks are re-executed elsewhere with correct

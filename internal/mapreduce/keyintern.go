@@ -12,8 +12,8 @@ import "approxhadoop/internal/zerocopy"
 // resolved only when a reducer needs them.
 //
 // A table is owned by one map attempt (executeMap), so it needs no
-// locking — the sharedstate contract holds because no two goroutines
-// ever share an instance. Interned strings are durable: the arena
+// locking — the compute-plane purity contract holds because no two
+// goroutines ever share an instance. Interned strings are durable: the arena
 // chunks are append-only and never recycled, so a string view handed
 // out by Resolve stays valid for the life of the attempt's MapOutput.
 type keyTable struct {

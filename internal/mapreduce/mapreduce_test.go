@@ -443,18 +443,18 @@ func TestSequentialOrderAblation(t *testing.T) {
 func TestPreciseReduceHelpers(t *testing.T) {
 	view := EstimateView{Confidence: 0.95}
 	min := MinReduce()
-	min.Consume(&MapOutput{Pairs: []KV{{"k", 5}, {"k", 2}, {"k", 9}}, Items: 3, Sampled: 3})
+	min.Consume(NewPairsOutput(0, 3, 3, []KV{{"k", 5}, {"k", 2}, {"k", 9}}))
 	out := min.Finalize(view)
 	if len(out) != 1 || !stats.AlmostEqual(out[0].Est.Value, 2, 1e-12) {
 		t.Errorf("MinReduce = %+v", out)
 	}
 	max := MaxReduce()
-	max.Consume(&MapOutput{Pairs: []KV{{"k", 5}, {"k", 2}}, Items: 2, Sampled: 2})
+	max.Consume(NewPairsOutput(0, 2, 2, []KV{{"k", 5}, {"k", 2}}))
 	if got := max.Finalize(view); !stats.AlmostEqual(got[0].Est.Value, 5, 1e-12) {
 		t.Errorf("MaxReduce = %+v", got)
 	}
 	mean := MeanReduce()
-	mean.Consume(&MapOutput{Pairs: []KV{{"k", 4}, {"k", 8}}, Items: 2, Sampled: 2})
+	mean.Consume(NewPairsOutput(0, 2, 2, []KV{{"k", 4}, {"k", 8}}))
 	if got := mean.Finalize(view); !stats.AlmostEqual(got[0].Est.Value, 6, 1e-12) {
 		t.Errorf("MeanReduce = %+v", got)
 	}

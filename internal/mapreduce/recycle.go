@@ -8,11 +8,11 @@ package mapreduce
 // It is deliberately not a sync.Pool: pools hand buffers out in
 // scheduling-dependent order, which would let pool size leak into any
 // code that (even accidentally) observes buffer identity, and the
-// sharedstate analyzer could no longer prove the compute plane pure.
+// purity analyzer could no longer prove the compute plane pure.
 // A BufList is plain attempt-local state — created in executeMap,
 // reachable only from that attempt's reader and emitter, and dead when
-// the attempt's MapOutput is materialized. The approxlint sharedstate
-// analyzer flags sync.Pool inside //approx:compute closures for
+// the attempt's MapOutput is materialized. The approxlint purity
+// analyzer flags sync.Pool reachable from //approx:compute roots for
 // exactly this reason.
 type BufList struct {
 	free [][]byte

@@ -14,6 +14,22 @@ import (
 	"approxhadoop/internal/stats"
 )
 
+// sketchOutput builds a sketch-payload MapOutput by hand, interning the
+// groups in sorted order like NewPairsOutput.
+func sketchOutput(taskID int, items, sampled int64, groups map[string]sketch.Sketch) *MapOutput {
+	names := make([]string, 0, len(groups))
+	for g := range groups {
+		names = append(names, g)
+	}
+	t := sortedKeyTable(names)
+	out := &MapOutput{TaskID: taskID, Items: items, Sampled: sampled, groups: t}
+	for i, g := range t.keys {
+		out.sketchIDs = append(out.sketchIDs, int32(i))
+		out.sketches = append(out.sketches, groups[g])
+	}
+	return out
+}
+
 // splitEvenBlocks splits text into roughly the requested block count.
 func splitEvenBlocks(name string, data []byte, blocks int) *dfs.File {
 	return dfs.SplitText(name, data, len(data)/blocks+1)
@@ -269,12 +285,7 @@ func TestSketchReducerMergeOrder(t *testing.T) {
 		for j := 0; j < 50; j++ {
 			s.Fold(fmt.Sprintf("editor%d", (i*37+j*13)%160), 1)
 		}
-		outs[i] = &MapOutput{
-			TaskID:       i,
-			Items:        50,
-			Sampled:      50,
-			SketchGroups: map[string]sketch.Sketch{"projA": s},
-		}
+		outs[i] = sketchOutput(i, 50, 50, map[string]sketch.Sketch{"projA": s})
 	}
 	view := EstimateView{TotalMaps: 6, Consumed: 6, Confidence: 0.95}
 	finalize := func(order []int) []KeyEstimate {
@@ -311,8 +322,7 @@ func TestSampledSketchWidensError(t *testing.T) {
 			s.Fold(fmt.Sprintf("e%d", j), 1)
 		}
 		r := NewDistinctReduce()
-		r.Consume(&MapOutput{TaskID: 0, Items: items, Sampled: sampled,
-			SketchGroups: map[string]sketch.Sketch{"g": s}})
+		r.Consume(sketchOutput(0, items, sampled, map[string]sketch.Sketch{"g": s}))
 		return r.Finalize(EstimateView{TotalMaps: 1, Consumed: 1, Confidence: 0.95})
 	}
 	full := mk(200, 200)
@@ -351,8 +361,7 @@ func TestMembershipReduce(t *testing.T) {
 		for j := 0; j < 100; j++ {
 			s.Fold(fmt.Sprintf("user%d", task*100+j), 1)
 		}
-		r.Consume(&MapOutput{TaskID: task, Items: 100, Sampled: 100,
-			SketchGroups: map[string]sketch.Sketch{"seen": s}})
+		r.Consume(sketchOutput(task, 100, 100, map[string]sketch.Sketch{"seen": s}))
 	}
 	view := EstimateView{TotalMaps: 4, Consumed: 4, Confidence: 0.95}
 	outs := r.Finalize(view)
@@ -374,10 +383,10 @@ func TestMembershipReduce(t *testing.T) {
 
 	// Pairs path: exact sets.
 	rp := NewMembershipReduce()
-	rp.Consume(&MapOutput{TaskID: 0, Items: 2, Sampled: 2, Pairs: []KV{
+	rp.Consume(NewPairsOutput(0, 2, 2, []KV{
 		{Key: "g" + ElementSep + "alice", Value: 1},
 		{Key: "g" + ElementSep + "bob", Value: 1},
-	}})
+	}))
 	pouts := rp.Finalize(EstimateView{TotalMaps: 1, Consumed: 1, Confidence: 0.95})
 	//lint:ignore nofloateq the pairs path counts an integer-valued exact set
 	if len(pouts) != 1 || !pouts[0].Exact || pouts[0].Est.Value != 2 {
@@ -475,34 +484,30 @@ func TestCombinerLossyMarker(t *testing.T) {
 
 // TestEmitElementFallbackPartitioning checks the composite-pair
 // fallback partitions by group: with several reduce partitions every
-// group must appear exactly once in the merged outputs, in both data
-// planes.
+// group must appear exactly once in the merged outputs.
 func TestEmitElementFallbackPartitioning(t *testing.T) {
 	input, want := editLogInput(t, 8, 120)
-	for _, legacy := range []bool{false, true} {
-		j := distinctJob(input, false, 1)
-		j.Reduces = 4
-		j.LegacyDataPlane = legacy
-		res, err := Run(testEngine(), j)
-		if err != nil {
-			t.Fatal(err)
+	j := distinctJob(input, false, 1)
+	j.Reduces = 4
+	res, err := Run(testEngine(), j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{}
+	for _, o := range res.Outputs {
+		seen[o.Key]++
+		//lint:ignore nofloateq integer-weight sums fold exactly; any drift is a bug
+		if o.Est.Value != want[o.Key] {
+			t.Errorf("%s = %v, want %v", o.Key, o.Est.Value, want[o.Key])
 		}
-		seen := map[string]int{}
-		for _, o := range res.Outputs {
-			seen[o.Key]++
-			//lint:ignore nofloateq integer-weight sums fold exactly; any drift is a bug
-			if o.Est.Value != want[o.Key] {
-				t.Errorf("legacy=%v %s = %v, want %v", legacy, o.Key, o.Est.Value, want[o.Key])
-			}
+	}
+	for g, n := range seen {
+		if n != 1 {
+			t.Errorf("group %s split across %d partitions", g, n)
 		}
-		for g, n := range seen {
-			if n != 1 {
-				t.Errorf("legacy=%v: group %s split across %d partitions", legacy, g, n)
-			}
-		}
-		if len(seen) != len(want) {
-			t.Errorf("legacy=%v: %d groups, want %d", legacy, len(seen), len(want))
-		}
+	}
+	if len(seen) != len(want) {
+		t.Errorf("%d groups, want %d", len(seen), len(want))
 	}
 }
 
@@ -524,11 +529,11 @@ func TestShuffleBytesAccounting(t *testing.T) {
 	}
 
 	// Representation unit checks.
-	raw := &MapOutput{Pairs: []KV{{Key: "abc", Value: 1}}}
+	raw := NewPairsOutput(0, 0, 0, []KV{{Key: "abc", Value: 1}})
 	if got := raw.ShuffleSize(); got != shuffleHeaderBytes+3+shufflePairBytes {
 		t.Errorf("raw ShuffleSize %d", got)
 	}
-	comb := &MapOutput{Combined: map[string]stats.RunningStat{"abc": {Count: 2, Sum: 3}}}
+	comb := NewCombinedOutput(0, 0, 0, map[string]stats.RunningStat{"abc": {Count: 2, Sum: 3}})
 	if got := comb.ShuffleSize(); got != shuffleHeaderBytes+3+shuffleCombinedBytes {
 		t.Errorf("combined ShuffleSize %d", got)
 	}
@@ -537,7 +542,7 @@ func TestShuffleBytesAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.Fold("x", 1)
-	sk := &MapOutput{SketchGroups: map[string]sketch.Sketch{"g": h}}
+	sk := sketchOutput(0, 0, 0, map[string]sketch.Sketch{"g": h})
 	if got := sk.ShuffleSize(); got != int64(shuffleHeaderBytes+1+shuffleGroupBytes+h.SizeBytes()) {
 		t.Errorf("sketch ShuffleSize %d", got)
 	}

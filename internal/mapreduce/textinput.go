@@ -1,9 +1,7 @@
 package mapreduce
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"strconv"
 
 	"approxhadoop/internal/dfs"
@@ -17,11 +15,9 @@ import (
 // counterpart lives in the approx package (ApproxTextInput).
 type TextInputFormat struct{}
 
-// Open implements InputFormat. The reader supports both modes: pull
-// (Next, durable records, used by Job.LegacyDataPlane and external
-// callers) and push (Push, zero-copy records over the block's line
-// backing — no pipe goroutine, no scanner copy, no per-record string
-// allocations).
+// Open implements InputFormat. The reader pushes zero-copy records over
+// the block's line backing: no pipe goroutine, no scanner copy, no
+// per-record string allocations.
 //
 //approx:compute
 func (TextInputFormat) Open(b *dfs.Block, _ float64, _ int64) (RecordReader, error) {
@@ -35,26 +31,15 @@ func (TextInputFormat) Open(b *dfs.Block, _ float64, _ int64) (RecordReader, err
 	}, nil
 }
 
-// newLineScanner builds a scanner with a generous line-length cap.
-func newLineScanner(r io.Reader) *bufio.Scanner {
-	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 64<<10), 16<<20)
-	return s
-}
-
 type textReader struct {
 	block     *dfs.Block
 	keyPrefix string
-	rc        io.ReadCloser // pull mode only, opened lazily
-	scan      *bufio.Scanner
 	meter     vtime.Meter
 	m         ReaderMeasure
 	bufs      *BufList
 	// keyBuf holds the record key: the "blockID:" prefix stays resident
 	// at the front and only the offset digits are rewritten per record,
-	// so key formatting allocates nothing (pull mode pays one string
-	// copy per record to make the returned key durable; push mode hands
-	// out a zero-copy view).
+	// so key formatting allocates nothing.
 	keyBuf []byte
 }
 
@@ -83,41 +68,14 @@ func (t *textReader) key(idx int64) []byte {
 	return t.keyBuf
 }
 
-//approx:compute
-func (t *textReader) Next() (Record, bool, error) {
-	if t.scan == nil {
-		t.rc = t.block.Open()
-		t.scan = newLineScanner(t.rc)
-	}
-	t.meter.Begin(vtime.OpRead)
-	if !t.scan.Scan() {
-		t.m.ReadSecs += t.meter.End(vtime.OpRead, 0, 0)
-		if err := t.scan.Err(); err != nil {
-			return Record{}, false, fmt.Errorf("mapreduce: reading %s: %w", t.keyPrefix, err)
-		}
-		return Record{}, false, nil
-	}
-	line := t.scan.Text()
-	t.m.Items++
-	t.m.Sampled++
-	t.m.Bytes += int64(len(line)) + 1
-	key := t.key(t.m.Items - 1)
-	t.m.ReadSecs += t.meter.End(vtime.OpRead, 1, int64(len(line))+1)
-	return Record{Key: string(key), Value: line}, true, nil
-}
-
-// Push implements RecordPusher over the block's line backing. The meter
-// Begin/End sequence per record — End(OpRead, 1, len+1) per line, a
-// final End(OpRead, 0, 0) at EOF — replicates the Next loop exactly, so
-// virtual timings are bit-identical across modes. Record Key/Value are
-// views of reusable buffers, valid only inside fn.
+// Push implements RecordReader over the block's line backing. Each line
+// is metered as one Begin/End(OpRead, 1, len+1) bracket, and a final
+// End(OpRead, 0, 0) closes the block. Record Key/Value are views of
+// reusable buffers, valid only inside fn.
 //
 //approx:compute
 //approx:hotpath
-func (t *textReader) Push(fn func(rec Record)) (bool, error) {
-	if !t.block.CanYieldLines() {
-		return false, nil
-	}
+func (t *textReader) Push(fn func(rec Record)) error {
 	var carry []byte
 	if t.bufs != nil {
 		carry = t.bufs.Get(256)
@@ -137,11 +95,11 @@ func (t *textReader) Push(fn func(rec Record)) (bool, error) {
 	}
 	if err != nil {
 		//lint:ignore hotpath error path, taken at most once per block
-		return true, fmt.Errorf("mapreduce: reading %s: %w", t.keyPrefix, err)
+		return fmt.Errorf("mapreduce: reading %s: %w", t.keyPrefix, err)
 	}
 	t.meter.Begin(vtime.OpRead)
 	t.m.ReadSecs += t.meter.End(vtime.OpRead, 0, 0)
-	return true, nil
+	return nil
 }
 
 func (t *textReader) Measure() ReaderMeasure { return t.m }
@@ -151,9 +109,6 @@ func (t *textReader) Close() error {
 	if t.bufs != nil && t.keyBuf != nil {
 		t.bufs.Put(t.keyBuf)
 		t.keyBuf = nil
-	}
-	if t.rc != nil {
-		return t.rc.Close()
 	}
 	return nil
 }

@@ -34,14 +34,11 @@ type KV struct {
 // Record is one input record handed to a map function: for text inputs
 // Key identifies the record position and Value is the line.
 //
-// Lifetime: when the framework drives a mapper through the push-mode
-// fast path (see RecordPusher), Key and Value are views over reusable
-// attempt-owned buffers — valid only for the duration of the Map call,
-// exactly Hadoop's Writable-reuse contract. Mappers that retain a
-// record past Map must copy it; emitting (sub)strings of it is always
-// safe because the emitter interns every key on first sight. Records
-// obtained by calling RecordReader.Next directly are plain copies with
-// no lifetime restriction.
+// Lifetime: readers push records (RecordReader.Push) as views over
+// reusable attempt-owned buffers — valid only for the duration of the
+// Map call, exactly Hadoop's Writable-reuse contract. Mappers that
+// retain a record past Map must copy it; emitting (sub)strings of it is
+// always safe because the emitter interns every key on first sight.
 type Record struct {
 	Key   string
 	Value string
@@ -62,7 +59,7 @@ type Emitter interface {
 // composite pair group+ElementSep+element (partitioned by group, so
 // each group still lands on exactly one reduce) — the O(keys) baseline
 // the sketch representation is measured against. The framework emitter
-// implements this in both data planes.
+// implements this.
 //
 //approx:pure
 type ElementEmitter interface {
@@ -129,17 +126,19 @@ type MeterSetter interface {
 	SetMeter(m vtime.Meter)
 }
 
-// RecordReader iterates over the records of one block, possibly
-// returning only a sample of them.
+// RecordReader drives the records of one block, possibly only a sample
+// of them, through a map function.
 //
 //approx:pure
 type RecordReader interface {
-	// Next returns the next record; ok=false signals the end of the
-	// block (after which Measure totals are final).
-	Next() (rec Record, ok bool, err error)
+	// Push calls fn once per returned record, in block order, with
+	// zero-copy records (see the Record lifetime contract). After it
+	// returns, Measure totals are final. A block without a line backing
+	// fails with dfs.ErrNoLineBacking.
+	Push(fn func(rec Record)) error
 	// Measure returns read statistics accumulated so far.
 	Measure() ReaderMeasure
-	// Close releases the underlying block reader.
+	// Close releases the reader's working buffers.
 	Close() error
 }
 
@@ -153,164 +152,147 @@ type InputFormat interface {
 	Open(b *dfs.Block, sampleRatio float64, seed int64) (RecordReader, error)
 }
 
-// RecordPusher is the push-mode fast path a RecordReader may offer on
-// top of Next: the reader drives the whole block through fn itself,
-// yielding zero-copy records (see the Record lifetime contract) and
-// metering reads through exactly the same Begin/End sequence the
-// equivalent Next loop would issue — so with a deterministic meter the
-// two paths charge identical seconds. Push returns ok=false without
-// consuming anything when the underlying block has no line-yielding
-// backing; the caller then falls back to the Next loop.
-//
-//approx:pure
-type RecordPusher interface {
-	Push(fn func(rec Record)) (ok bool, err error)
-}
-
 // MapOutput is what one completed map task delivers to one reduce
 // partition: the task/cluster identity, the block unit counts needed by
 // multi-stage sampling (Section 4.4 — "each map task tags each
 // key/value pair with its unique task ID" and forwards M_i and m_i),
-// and the pairs themselves, either raw or combiner-aggregated.
+// and the payload: raw pairs, combiner-aggregated per-key statistics,
+// or per-group sketches.
 //
-// Two payload representations exist. The legacy fields Pairs/Combined
-// carry string-keyed data and remain the construction API for tests and
-// external callers. The framework's default arena representation keys
-// pairs by interned IDs into flat per-partition runs sharing one
-// attempt-wide key table, deferring string resolution to reduce time;
-// reducers consume either representation uniformly through EachPair /
-// EachCombined / PairLen.
+// Keys are interned IDs into one attempt-wide key table shared by all
+// of the attempt's partitions, so strings are resolved only at reduce
+// time; reducers read the payload through EachPair / EachCombined /
+// EachSketch / PairLen. NewPairsOutput and NewCombinedOutput build
+// outputs by hand.
 type MapOutput struct {
 	TaskID  int   // map task index; the sampling "cluster" identifier
 	Items   int64 // M_i: data items in the task's block
 	Sampled int64 // m_i: items actually processed
-	// At most one of Pairs/Combined is populated (legacy string-keyed
-	// payload), depending on Job.Combine. Combined carries per-key
-	// (count, sum, sumsq), which is lossless for aggregation reducers.
-	Pairs    []KV
-	Combined map[string]stats.RunningStat
 
-	// SketchGroups is the third payload representation (Job.Sketch):
-	// one fixed-size mergeable sketch per group key, so the partition's
-	// shuffle volume is O(groups·sketchSize) regardless of how many
-	// records the task folded — O(1) per partition for bounded group
-	// sets. This map is the construction API for tests; the framework
-	// default is the arena form below. Payload sketches are shared
-	// (attempt results are memoized across speculative attempts), so
-	// consumers must Clone before merging.
-	SketchGroups map[string]sketch.Sketch
-
-	// Arena payload (framework default): keys is the attempt's interner,
-	// shared by all partitions of the attempt; run is this partition's
-	// raw (keyID, value) pairs in emit order; combIDs lists this
-	// partition's distinct key IDs in first-emit order, whose aggregates
-	// live in the attempt-wide dense combStats slice indexed by key ID.
+	// keys is the attempt's interner; run is this partition's raw
+	// (keyID, value) pairs in emit order; combIDs lists this
+	// partition's distinct key IDs in first-emit order (non-nil marks a
+	// combined output), whose aggregates (count, sum, sumsq — lossless
+	// for aggregation reducers) live in the attempt-wide dense combStats
+	// slice indexed by key ID.
 	keys      *keyTable
 	run       []idPair
 	combIDs   []int32
 	combStats []stats.RunningStat
 
-	// Arena sketch payload: groups is the attempt's group interner,
-	// sketchIDs this partition's group IDs in first-emit order, and
-	// sketches the attempt-wide dense sketch slice indexed by group ID.
+	// Sketch payload (Job.Sketch): one fixed-size mergeable sketch per
+	// group key, so the partition's shuffle volume is
+	// O(groups·sketchSize) regardless of how many records the task
+	// folded. groups is the attempt's group interner, sketchIDs this
+	// partition's group IDs in first-emit order, and sketches the
+	// attempt-wide dense sketch slice indexed by group ID. Sketches are
+	// shared (attempt results are memoized across speculative
+	// attempts), so consumers must Clone before merging.
 	groups    *keyTable
 	sketchIDs []int32
 	sketches  []sketch.Sketch
 }
 
-// idPair is one arena-shuffled intermediate pair: an interned key ID
-// and its value. 16 bytes versus the 24 of a string-keyed KV, and no
-// per-pair string header to trace during GC.
+// idPair is one shuffled intermediate pair: an interned key ID and its
+// value. 16 bytes versus the 24 of a string-keyed KV, and no per-pair
+// string header to trace during GC.
 type idPair struct {
 	id int32
 	v  float64
 }
 
-// IsCombined reports whether the output carries combiner-aggregated
-// per-key statistics rather than raw pairs.
-func (o *MapOutput) IsCombined() bool {
-	return o.Combined != nil || o.combIDs != nil
+// NewPairsOutput builds a raw-pairs output by hand (for callers outside
+// a map task, such as reducer tests). Keys are interned in sorted order
+// and pairs keep their given order.
+func NewPairsOutput(taskID int, items, sampled int64, pairs []KV) *MapOutput {
+	keys := make([]string, len(pairs))
+	for i, kv := range pairs {
+		keys[i] = kv.Key
+	}
+	t := sortedKeyTable(keys)
+	run := make([]idPair, len(pairs))
+	for i, kv := range pairs {
+		id, _ := t.Intern(kv.Key)
+		run[i] = idPair{id: id, v: kv.Value}
+	}
+	return &MapOutput{TaskID: taskID, Items: items, Sampled: sampled, keys: t, run: run}
 }
 
-// IsSketch reports whether the output carries per-group sketches.
-func (o *MapOutput) IsSketch() bool {
-	return o.SketchGroups != nil || o.groups != nil
+// NewCombinedOutput builds a combined output by hand from per-key
+// aggregates; EachCombined yields them in sorted key order.
+func NewCombinedOutput(taskID int, items, sampled int64, combined map[string]stats.RunningStat) *MapOutput {
+	keys := make([]string, 0, len(combined))
+	for k := range combined {
+		keys = append(keys, k)
+	}
+	t := sortedKeyTable(keys)
+	ids := make([]int32, len(t.keys))
+	rs := make([]stats.RunningStat, len(t.keys))
+	for i, k := range t.keys {
+		ids[i] = int32(i)
+		rs[i] = combined[k]
+	}
+	return &MapOutput{TaskID: taskID, Items: items, Sampled: sampled, keys: t, combIDs: ids, combStats: rs}
 }
+
+// sortedKeyTable interns the distinct keys in sorted order, so a
+// hand-built output's IDs do not depend on the caller's ordering.
+func sortedKeyTable(keys []string) *keyTable {
+	sorted := append([]string(nil), keys...)
+	sort.Strings(sorted)
+	t := newKeyTable(1, len(sorted))
+	for _, k := range sorted {
+		t.Intern(k)
+	}
+	return t
+}
+
+// IsCombined reports whether the output carries combiner-aggregated
+// per-key statistics rather than raw pairs.
+func (o *MapOutput) IsCombined() bool { return o.combIDs != nil }
+
+// IsSketch reports whether the output carries per-group sketches.
+func (o *MapOutput) IsSketch() bool { return o.groups != nil }
 
 // PairLen returns the number of payload entries: raw pairs, distinct
 // keys for combined outputs, or groups for sketch outputs. It is the
-// unit count reduce-side cost accounting charges, identical across
-// representations.
+// unit count reduce-side cost accounting charges.
 func (o *MapOutput) PairLen() int {
-	n := len(o.sketchIDs) + len(o.SketchGroups)
-	if o.keys != nil {
-		if o.combIDs != nil {
-			return n + len(o.combIDs)
-		}
-		return n + len(o.run)
+	if o.combIDs != nil {
+		return len(o.sketchIDs) + len(o.combIDs)
 	}
-	return n + len(o.Pairs) + len(o.Combined)
+	return len(o.sketchIDs) + len(o.run)
 }
 
 // EachPair calls fn for every raw pair in shuffle (emit) order. Keys
-// handed to fn are durable — interned arena strings or the original KV
-// keys — so reducers may retain them without copying.
+// handed to fn are durable interned strings, so reducers may retain
+// them without copying.
 //
 //approx:hotpath
 func (o *MapOutput) EachPair(fn func(key string, value float64)) {
-	if o.keys != nil {
-		for _, p := range o.run {
-			fn(o.keys.Resolve(p.id), p.v)
-		}
-		return
-	}
-	for _, kv := range o.Pairs {
-		fn(kv.Key, kv.Value)
+	for _, p := range o.run {
+		fn(o.keys.Resolve(p.id), p.v)
 	}
 }
 
 // EachCombined calls fn for every per-key aggregate of a combined
-// output. Arena outputs iterate in first-emit order (deterministic);
-// legacy map outputs iterate in Go map order, which reducers must not
-// depend on (per-key aggregation is order-free). Keys are durable.
+// output, in first-emit order. Keys are durable.
 //
 //approx:hotpath
 func (o *MapOutput) EachCombined(fn func(key string, rs stats.RunningStat)) {
-	if o.keys != nil {
-		for _, id := range o.combIDs {
-			fn(o.keys.Resolve(id), o.combStats[id])
-		}
-		return
-	}
-	for k, rs := range o.Combined {
-		fn(k, rs)
+	for _, id := range o.combIDs {
+		fn(o.keys.Resolve(id), o.combStats[id])
 	}
 }
 
-// EachSketch calls fn for every (group, sketch) of a sketch output.
-// Arena outputs iterate in first-emit order; the legacy SketchGroups
-// map iterates in sorted key order, so both are deterministic. Group
-// keys are durable; sketches are shared payload — Clone before
-// mutating.
+// EachSketch calls fn for every (group, sketch) of a sketch output, in
+// first-emit order. Group keys are durable; sketches are shared
+// payload — Clone before mutating.
 //
 //approx:hotpath
 func (o *MapOutput) EachSketch(fn func(group string, s sketch.Sketch)) {
-	if o.groups != nil {
-		for _, id := range o.sketchIDs {
-			fn(o.groups.Resolve(id), o.sketches[id])
-		}
-		return
-	}
-	if len(o.SketchGroups) == 0 {
-		return
-	}
-	keys := make([]string, 0, len(o.SketchGroups))
-	for g := range o.SketchGroups {
-		keys = append(keys, g)
-	}
-	sort.Strings(keys)
-	for _, g := range keys {
-		fn(g, o.SketchGroups[g])
+	for _, id := range o.sketchIDs {
+		fn(o.groups.Resolve(id), o.sketches[id])
 	}
 }
 
@@ -334,31 +316,17 @@ const (
 // O(keys folded) to O(1) per partition.
 func (o *MapOutput) ShuffleSize() int64 {
 	n := int64(shuffleHeaderBytes)
-	if o.groups != nil {
-		for _, id := range o.sketchIDs {
-			n += int64(len(o.groups.Resolve(id))) + shuffleGroupBytes + int64(o.sketches[id].SizeBytes())
-		}
+	for _, id := range o.sketchIDs {
+		n += int64(len(o.groups.Resolve(id))) + shuffleGroupBytes + int64(o.sketches[id].SizeBytes())
 	}
-	for g, s := range o.SketchGroups {
-		n += int64(len(g)) + shuffleGroupBytes + int64(s.SizeBytes())
-	}
-	if o.keys != nil {
-		if o.combIDs != nil {
-			for _, id := range o.combIDs {
-				n += int64(len(o.keys.Resolve(id))) + shuffleCombinedBytes
-			}
-		} else {
-			for _, p := range o.run {
-				n += int64(len(o.keys.Resolve(p.id))) + shufflePairBytes
-			}
+	if o.combIDs != nil {
+		for _, id := range o.combIDs {
+			n += int64(len(o.keys.Resolve(id))) + shuffleCombinedBytes
 		}
 		return n
 	}
-	for _, kv := range o.Pairs {
-		n += int64(len(kv.Key)) + shufflePairBytes
-	}
-	for k := range o.Combined {
-		n += int64(len(k)) + shuffleCombinedBytes
+	for _, p := range o.run {
+		n += int64(len(o.keys.Resolve(p.id))) + shufflePairBytes
 	}
 	return n
 }
